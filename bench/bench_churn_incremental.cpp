@@ -57,8 +57,9 @@ void accumulate(SessionCost& cost, const dynamic::EpochReport& report) {
   cost.dirty_links += report.dirty_links;
   cost.all_valid = cost.all_valid && report.valid &&
                    (!report.audited ||
-                    (report.audit_valid && report.audit_tree_match &&
-                     report.audit_store_match && report.audit_index_match));
+                    (report.audit_valid && report.audit_power_valid &&
+                     report.audit_tree_match && report.audit_store_match &&
+                     report.audit_index_match));
   if (report.full_replan) ++cost.full_replans;
   ++cost.epochs;
 }

@@ -119,20 +119,22 @@ int main(int argc, char** argv) {
       cache_mark = cache;
       if (options.audit) {
         row.cell(report.audit_full_ms, 2)
-            .cell(report.audit_valid && report.audit_tree_match &&
+            .cell(report.audit_valid && report.audit_power_valid &&
+                          report.audit_tree_match &&
                           report.audit_store_match && report.audit_index_match
                       ? "yes"
                       : "NO");
       }
     };
 
-    // --powers: ship per-slot Perron vectors every epoch, the way a serving
-    // deployment would. Carried-over slots hit the membership-keyed cache.
+    // --powers: ship per-slot power vectors every epoch, the way a serving
+    // deployment would. Slots the slot ledger certified ship the vector that
+    // certified them; only uncovered slots are solved afresh.
     const bool powers =
         args.has("powers") &&
         options.config.power_mode == core::PowerMode::kGlobal;
     if (args.has("powers") && !powers) {
-      std::cout << "note: --powers ignored — per-slot Perron vectors exist "
+      std::cout << "note: --powers ignored — per-slot power vectors exist "
                    "only under --mode=global (fixed-power modes use a "
                    "closed-form assignment)\n";
     }
@@ -150,6 +152,8 @@ int main(int argc, char** argv) {
     double power_ms = 0.0;
     std::size_t power_cached = 0;
     std::size_t power_computed = 0;
+    std::size_t certificate_hits = 0;
+    std::size_t certificate_misses = 0;
     std::size_t fallbacks = 0;
     bool all_valid = true;
     for (const auto& epoch_mutations : trace) {
@@ -167,9 +171,12 @@ int main(int argc, char** argv) {
       power_ms += report.timings.power_ms;
       power_cached += report.power_slots_cached;
       power_computed += report.power_slots_computed;
+      certificate_hits += report.certificate_hits;
+      certificate_misses += report.certificate_misses;
       if (report.full_replan) ++fallbacks;
       all_valid = all_valid && report.valid &&
                   (!report.audited || (report.audit_valid &&
+                                       report.audit_power_valid &&
                                        report.audit_tree_match &&
                                        report.audit_store_match &&
                                        report.audit_index_match));
@@ -220,6 +227,8 @@ int main(int argc, char** argv) {
                 << " ms/epoch (" << power_cached << " cached / "
                 << power_computed << " computed)";
     }
+    std::cout << ", ledger " << certificate_hits << " certificate hits / "
+              << certificate_misses << " misses";
     std::cout << ", " << fallbacks << " fallbacks, "
               << (all_valid ? "all epochs valid" : "INVALID EPOCHS") << "\n";
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "mst/tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "schedule/ledger.h"
 #include "schedule/repair.h"
 #include "schedule/verify.h"
 #include "sinr/feasibility.h"
@@ -22,19 +24,7 @@ using util::ms_since;
 
 namespace {
 
-/// FNV-1a over a sorted id list — the slot-membership key of the power
-/// cache (collisions are disambiguated by comparing the stored members).
-std::uint64_t membership_key(std::span<const geom::LinkId> ids) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto id : ids) {
-    auto v = static_cast<std::uint64_t>(id);
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (v >> shift) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
-}
+constexpr double kUnknownLoad = std::numeric_limits<double>::infinity();
 
 /// The planner's registry handles, resolved once (registration takes the
 /// registry mutex; after that every epoch publishes against stable
@@ -66,6 +56,9 @@ struct PlannerMetrics {
       reg.counter("conflict.row_cache_invalidations");
   obs::Counter& row_cache_evictions =
       reg.counter("conflict.row_cache_evictions");
+  obs::Counter& certificate_hits = reg.counter("repair.certificate_hits");
+  obs::Counter& certificate_misses =
+      reg.counter("repair.certificate_misses");
   obs::Counter& power_hits = reg.counter("power.slot_cache_hits");
   obs::Counter& power_misses = reg.counter("power.slot_cache_misses");
   obs::Histogram& epoch_ms = reg.histogram("dynamic.epoch_ms");
@@ -244,7 +237,8 @@ std::vector<EpochReport> DynamicPlanner::apply_trace(const ChurnTrace& trace) {
 void DynamicPlanner::invalidate_carried_state() {
   std::fill(slot_of_.begin(), slot_of_.end(), -1);
   prev_slot_count_.clear();
-  power_cache_.clear();
+  std::fill(ledger_load_.begin(), ledger_load_.end(), kUnknownLoad);
+  ledger_exact_.clear();
   slot_powers_.clear();
   slot_powers_current_ = false;
   force_reconcile_ = true;
@@ -544,6 +538,8 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
                              config.sinr.noise > 0.0;
   if (slot_of_.size() < store_.capacity()) {
     slot_of_.resize(store_.capacity(), -1);
+    ledger_power_.resize(store_.capacity(), 0.0);
+    ledger_load_.resize(store_.capacity(), kUnknownLoad);
   }
   std::vector<bool> dirty(n, false);
   std::size_t dirty_count = 0;
@@ -566,6 +562,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   report.full_replan = full;
 
   schedule::Schedule final_schedule;
+  std::vector<char> next_exact;  // ledger_exact_ of the final slots
   if (full) {
     // ---- fallback: full replan, warm-started from the surviving slots so
     // the coloring stays stable; repair + verification run from scratch and
@@ -593,6 +590,15 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     report.touched_slots = scheduled.schedule.length();
     report.valid = scheduled.verification.ok();
     final_schedule = std::move(scheduled.schedule);
+    // From-scratch slots come with no ledger: their powers are unknown
+    // until slot_powers() or a later patch seeds them.
+    for (const auto& slot : final_schedule.slots) {
+      for (const auto i : slot) {
+        ledger_load_[static_cast<std::size_t>(links.id_of(i))] =
+            kUnknownLoad;
+      }
+    }
+    next_exact.assign(final_schedule.slots.size(), 0);
   } else {
     // ---- localized path ----
     // Conflict adjacency is needed only for the dirty links: the relation
@@ -639,16 +645,20 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
         coloring::greedy_recolor_rows(dirty_indices, neighbor_rows, seed);
     report.timings.recolor_ms += ms_since(stage_start);
 
-    // Slot carry-over + patch repair. Soundness does NOT assume oracle
-    // monotonicity under member departure (the power-control oracle's
-    // iterative bound is conservative and need not be monotone): a slot's
-    // verdict is carried over only when its membership is UNCHANGED (the
-    // oracle is deterministic, so the old certificate applies verbatim);
-    // any class that shrank is re-checked — and repacked if the oracle now
-    // rejects it — before serving as a kept sub-slot or a final slot.
+    // Slot carry-over + patch repair against the slot ledger. Soundness
+    // does NOT assume oracle monotonicity under member departure: a slot's
+    // verdict is carried over only when its membership is UNCHANGED; a
+    // class that shrank is re-checked — its carried bounds are still upper
+    // bounds under the same powers — before serving as a kept sub-slot or
+    // a final slot.
     stage_span.next("repair");
     stage_start = Clock::now();
-    const auto oracle = core::oracle_for_mode(links, config);
+    const bool carried = config.power_mode == core::PowerMode::kGlobal;
+    const sinr::PowerAssignment pinned =
+        carried ? sinr::PowerAssignment{} : core::power_for_mode(links, config);
+    schedule::SlotLedger ledger =
+        carried ? schedule::SlotLedger(links, config.sinr)
+                : schedule::SlotLedger(links, config.sinr, pinned);
     std::vector<std::vector<std::size_t>> classes(
         static_cast<std::size_t>(recolored.num_colors));
     for (std::size_t i = 0; i < n; ++i) {
@@ -663,24 +673,43 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
         (dirty[i] ? loose : kept).push_back(i);
       }
       // Unchanged membership <=> every previous member survived clean; the
-      // old certificate then applies verbatim (oracles are deterministic).
-      // A shrunk class is handled by patch_slot's uncertified-kept path:
-      // one fresh check, or a repack if the conservative oracle now
-      // rejects it.
+      // old certificate then applies verbatim. A shrunk class is handled by
+      // patch_slot's uncertified-kept path: one re-check, or a repack if it
+      // is now rejected.
       const bool kept_certified =
           kept.empty() || (c < prev_slot_count_.size() &&
                            kept.size() == prev_slot_count_[c]);
+      const bool was_exact = c < ledger_exact_.size() && ledger_exact_[c];
       if (loose.empty() && kept_certified) {
         ++report.reused_slots;
         final_schedule.slots.push_back(std::move(kept));
+        next_exact.push_back(was_exact);
         continue;
       }
-      auto patch = schedule::patch_slot(links, {std::move(kept)}, loose,
-                                        oracle, kept_certified);
+      // Kept clean links were all in previous slot c: their powers and
+      // bounds carry over from the id-keyed ledger (bounds only loosen as
+      // members depart, so they stay sound).
+      auto kept_slot = ledger.unknown(kept);
+      for (std::size_t a = 0; a < kept.size(); ++a) {
+        const auto id = static_cast<std::size_t>(links.id_of(kept[a]));
+        if (carried) kept_slot.log2_power[a] = ledger_power_[id];
+        kept_slot.load[a] = ledger_load_[id];
+      }
+      kept_slot.exact = was_exact && kept_certified;
+      auto patch = schedule::patch_slot(ledger, std::move(kept_slot), loose,
+                                        kept_certified);
       report.oracle_calls += patch.oracle_calls;
+      report.certificate_hits += patch.certificates.hits;
+      report.certificate_misses += patch.certificates.misses;
       report.touched_slots += patch.sub_slots.size();
       for (auto& sub : patch.sub_slots) {
-        final_schedule.slots.push_back(std::move(sub));
+        for (std::size_t a = 0; a < sub.members.size(); ++a) {
+          const auto id = static_cast<std::size_t>(links.id_of(sub.members[a]));
+          ledger_power_[id] = sub.log2_power[a];
+          ledger_load_[id] = sub.load[a];
+        }
+        next_exact.push_back(sub.exact);
+        final_schedule.slots.push_back(std::move(sub.members));
       }
     }
     report.valid = schedule::is_partition(final_schedule, n);
@@ -701,6 +730,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
           static_cast<int>(s);
     }
   }
+  ledger_exact_ = std::move(next_exact);
   plan_clock_ = store_.clock();
   slot_powers_current_ = false;
   current_.points = std::move(points);
@@ -711,90 +741,57 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   current_.rate = report.rate;
 }
 
+bool DynamicPlanner::carried_powers(std::size_t s,
+                                    std::vector<double>& dense) const {
+  const auto& links = current_.links;
+  const auto& slot = current_.schedule.slots[s];
+  dense.assign(links.size(), 0.0);
+  for (const auto i : slot) {
+    const auto id = static_cast<std::size_t>(links.id_of(i));
+    if (!std::isfinite(ledger_load_[id])) return false;
+    dense[i] = ledger_power_[id];
+  }
+  return true;
+}
+
 const std::vector<sinr::PowerAssignment>& DynamicPlanner::slot_powers() {
   if (options_.config.power_mode != core::PowerMode::kGlobal) {
     throw std::logic_error(
         "DynamicPlanner::slot_powers: fixed-power modes use sinr::*_power, "
-        "not per-slot Perron vectors");
+        "not per-slot power vectors");
   }
   if (slot_powers_current_) return slot_powers_;
   obs::Span span("power");
   const auto start = Clock::now();
   const auto& links = current_.links;
-  const auto link_ids = links.ids();  // increasing (store snapshot order)
-  const auto dense_of = [&](geom::LinkId id) {
-    const auto it = std::lower_bound(link_ids.begin(), link_ids.end(), id);
-    return static_cast<std::size_t>(it - link_ids.begin());
-  };
-
   slot_powers_.clear();
   slot_powers_.reserve(current_.schedule.slots.size());
-  std::vector<std::uint64_t> used_keys;
-  std::vector<geom::LinkId> members;
-  for (const auto& slot : current_.schedule.slots) {
-    members.clear();
-    for (const auto i : slot) members.push_back(links.id_of(i));
-    std::sort(members.begin(), members.end());
-    const auto key = membership_key(members);
-    used_keys.push_back(key);
-
-    auto it = power_cache_.find(key);
-    bool hit = it != power_cache_.end() && it->second.members == members;
-    if (hit) {
-      // Generations certify the members' geometry is untouched since the
-      // vector was computed; any change invalidates the entry.
-      for (const auto id : members) {
-        if (store_.generation(id) > it->second.clock_mark) {
-          hit = false;
-          break;
-        }
-      }
-    }
-    if (!hit) {
-      const auto pc =
-          sinr::power_control_feasible(links, slot, options_.config.sinr);
-      CachedSlotPower entry;
-      entry.members = members;
-      entry.clock_mark = store_.clock();
-      entry.feasible = pc.feasible;
-      if (pc.feasible) {
-        // Re-align from slot order to sorted-member order for storage.
-        std::vector<std::pair<geom::LinkId, double>> by_id;
-        by_id.reserve(slot.size());
-        for (std::size_t a = 0; a < slot.size(); ++a) {
-          by_id.emplace_back(links.id_of(slot[a]), pc.log2_power[a]);
-        }
-        std::sort(by_id.begin(), by_id.end());
-        entry.log2_power.reserve(by_id.size());
-        for (const auto& [id, p] : by_id) entry.log2_power.push_back(p);
-      }
-      it = power_cache_.insert_or_assign(key, std::move(entry)).first;
-      ++report_.power_slots_computed;
-      planner_metrics().power_misses.add();
-    } else {
+  std::vector<double> dense;
+  for (std::size_t s = 0; s < current_.schedule.slots.size(); ++s) {
+    if (carried_powers(s, dense)) {
       ++report_.power_slots_cached;
       planner_metrics().power_hits.add();
+      slot_powers_.emplace_back(std::move(dense), "power-control");
+      continue;
     }
-
-    const auto& entry = it->second;
-    if (!entry.feasible) {
+    // No ledger covers the slot: solve it afresh and seed its ledger.
+    const auto& slot = current_.schedule.slots[s];
+    const auto pc =
+        sinr::power_control_feasible(links, slot, options_.config.sinr);
+    ++report_.power_slots_computed;
+    planner_metrics().power_misses.add();
+    if (!pc.feasible) {
       slot_powers_.emplace_back(std::vector<double>(links.size(), 0.0),
                                 "infeasible-slot");
       continue;
     }
-    std::vector<double> dense(links.size(), 0.0);
-    for (std::size_t a = 0; a < entry.members.size(); ++a) {
-      dense[dense_of(entry.members[a])] = entry.log2_power[a];
+    for (std::size_t a = 0; a < slot.size(); ++a) {
+      const auto id = static_cast<std::size_t>(links.id_of(slot[a]));
+      ledger_power_[id] = pc.log2_power[a];
+      ledger_load_[id] = std::exp2(pc.log2_load[a]);
     }
-    slot_powers_.emplace_back(std::move(dense), "power-control");
+    slot_powers_.push_back(sinr::embed_slot_power(links, slot, pc));
   }
-
-  // Retain only the current schedule's entries so the cache tracks the
-  // session instead of its history.
-  std::sort(used_keys.begin(), used_keys.end());
-  std::erase_if(power_cache_, [&](const auto& kv) {
-    return !std::binary_search(used_keys.begin(), used_keys.end(), kv.first);
-  });
 
   slot_powers_current_ = true;
   const double elapsed = ms_since(start);
@@ -820,6 +817,21 @@ void DynamicPlanner::run_audit(EpochReport& report) {
   const auto verification =
       schedule::verify_schedule(current_.links, current_.schedule, oracle);
   report.audit_valid = verification.ok();
+
+  // The deployed powers: every slot's carried ledger vector must satisfy
+  // the exact SINR inequalities on its slot.
+  report.audit_power_valid = true;
+  if (config.power_mode == core::PowerMode::kGlobal) {
+    std::vector<double> dense;
+    for (std::size_t s = 0; s < current_.schedule.slots.size(); ++s) {
+      if (!carried_powers(s, dense)) continue;
+      report.audit_power_valid =
+          report.audit_power_valid &&
+          sinr::is_feasible(current_.links, current_.schedule.slots[s],
+                            config.sinr,
+                            sinr::PowerAssignment(std::move(dense)), 1e-6);
+    }
+  }
 
   // The incremental MST must weigh exactly as much as a from-scratch MST.
   double incremental_weight = 0.0;
@@ -875,8 +887,9 @@ void DynamicPlanner::run_audit(EpochReport& report) {
 
   report.audited = true;
   report.timings.audit_ms = ms_since(audit_start);
-  if (!(report.audit_valid && report.audit_tree_match &&
-        report.audit_store_match && report.audit_index_match)) {
+  if (!(report.audit_valid && report.audit_power_valid &&
+        report.audit_tree_match && report.audit_store_match &&
+        report.audit_index_match)) {
     planner_metrics().audit_failures.add();
   }
 }
@@ -888,6 +901,8 @@ void DynamicPlanner::publish_epoch_metrics(const EpochReport& report) {
   metrics.dirty_links.add(report.dirty_links);
   if (report.full_replan) metrics.full_replans.add();
   metrics.oracle_calls.add(report.oracle_calls);
+  metrics.certificate_hits.add(report.certificate_hits);
+  metrics.certificate_misses.add(report.certificate_misses);
   metrics.reused_slots.add(report.reused_slots);
   metrics.touched_slots.add(report.touched_slots);
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "conflict/conflict_index.h"
@@ -82,19 +81,27 @@ struct EpochReport {
   std::size_t reused_slots = 0;
   /// Final slots produced by patch repair of changed color classes.
   std::size_t touched_slots = 0;
-  /// Feasibility-oracle invocations this epoch (the cost driver).
+  /// Slot-feasibility decisions this epoch (what repair cost scales
+  /// with). Each is a certificate hit (the slot ledger's bounds decided it
+  /// in O(|slot|)) or a miss (the exact decision ran): oracle_calls ==
+  /// hits + misses.
   std::size_t oracle_calls = 0;
+  std::size_t certificate_hits = 0;
+  std::size_t certificate_misses = 0;
 
-  /// slot_powers() bookkeeping: Perron vectors served from the
-  /// membership-keyed cache vs computed fresh this epoch.
+  /// slot_powers() bookkeeping: slots whose powers were served from the
+  /// slot ledger (the vector that certified the slot) vs slots that needed
+  /// a fresh power_control_feasible solve (no ledger covered them: after
+  /// construction, a full replan or a failed epoch).
   std::size_t power_slots_cached = 0;
   std::size_t power_slots_computed = 0;
 
   double rate = 0.0;
   /// Structural validity (schedule partitions the links). Feasibility of
-  /// every slot is certified by an oracle call on exactly its membership —
-  /// either this epoch or, for slots whose membership did not change, a
-  /// previous one; audit mode re-checks everything from scratch.
+  /// every slot is certified by a decision on exactly its membership — a
+  /// ledger certificate or the oracle, either this epoch or, for slots
+  /// whose membership did not change, a previous one; audit mode re-checks
+  /// everything from scratch.
   bool valid = false;
 
   EpochTimings timings;
@@ -103,6 +110,12 @@ struct EpochReport {
   bool audited = false;
   /// Every slot of the incremental schedule passed a fresh oracle check.
   bool audit_valid = false;
+  /// kGlobal: every slot's carried ledger power vector passes
+  /// sinr::check_feasible on its slot (tolerance 1e-6) — the audit
+  /// certifies the deployed powers, not only the membership. Slots the
+  /// ledger does not cover yet are skipped; fixed-power modes deploy their
+  /// assignment, which audit_valid already checks.
+  bool audit_power_valid = false;
   /// Incremental MST weight matches the from-scratch MST weight.
   bool audit_tree_match = false;
   /// The diff-maintained LinkStore orientation equals a from-scratch
@@ -145,10 +158,12 @@ struct EpochReport {
 ///      subset queries) and first-fit recolored, seeding every surviving
 ///      link with its previous final slot (read from an id-indexed array);
 ///   5. slots whose membership is unchanged carry over verbatim (their old
-///      oracle certificate applies — no monotonicity assumption), slots
-///      that shrank are re-checked with one oracle call each, and classes
-///      that gained members are patch-repaired (schedule::patch_slot);
-///      oracle calls stay proportional to the dirty set.
+///      certificate applies — no monotonicity assumption), slots that
+///      shrank are re-checked with one decision each, and classes that
+///      gained members are patch-repaired (schedule::patch_slot) against
+///      the slot ledger: every final slot keeps its members' powers and
+///      load bounds keyed by stable LinkId, so an insertion is decided in
+///      O(|slot|) and only ledger misses run the exact oracle.
 /// When the dirty fraction exceeds DynamicOptions::full_replan_fraction the
 /// epoch falls back to core::schedule_links with a warm-start seed — full
 /// repair and verification re-anchor the carried-over validity chain. Bulk
@@ -227,14 +242,15 @@ class DynamicPlanner : private geom::LinkStoreListener {
   };
   [[nodiscard]] const Snapshot& snapshot() const noexcept { return current_; }
 
-  /// kGlobal only: the per-slot Perron power vectors of the current
-  /// schedule (aligned with snapshot().schedule.slots), materialized on
-  /// demand. Vectors are cached across epochs keyed by the slot's stable-id
-  /// membership and validated against the store's generation counters, so
-  /// carried-over slots skip power_control_feasible entirely. The cost and
-  /// hit counts land in last_report().timings.power_ms /
-  /// power_slots_cached / power_slots_computed. Throws std::logic_error for
-  /// fixed-power modes (their assignment is sinr::*_power, not per-slot).
+  /// kGlobal only: the per-slot power vectors of the current schedule
+  /// (aligned with snapshot().schedule.slots), materialized on demand. A
+  /// slot the slot ledger covers ships the vector that certified it in
+  /// repair (an embedding, no solve); only uncovered slots — after
+  /// construction, a full replan or a failed epoch — run
+  /// power_control_feasible, which then seeds their ledger. The cost and
+  /// counts land in last_report().timings.power_ms / power_slots_cached /
+  /// power_slots_computed. Throws std::logic_error for fixed-power modes
+  /// (their assignment is sinr::*_power, not per-slot).
   [[nodiscard]] const std::vector<sinr::PowerAssignment>& slot_powers();
 
  private:
@@ -272,9 +288,13 @@ class DynamicPlanner : private geom::LinkStoreListener {
   void rehang(NodeId child, NodeId parent);
   /// True iff the parent chain from `node` currently reaches the sink.
   [[nodiscard]] bool reaches_sink(NodeId node) const;
-  /// Drops all carried plan state (slot seeds, caches) and forces the next
-  /// epoch through reconcile_full + full replan.
+  /// Drops all carried plan state (slot seeds, slot ledger) and forces the
+  /// next epoch through reconcile_full + full replan.
   void invalidate_carried_state();
+  /// Writes slot `s`'s carried ledger powers into `dense` (indexed like the
+  /// current snapshot's links); false when the ledger does not cover it.
+  [[nodiscard]] bool carried_powers(std::size_t s,
+                                    std::vector<double>& dense) const;
   /// Pushes the finished epoch into the global obs::Registry: report
   /// counters verbatim, engine lifetime counters as deltas against the
   /// marks below, stage timings into per-epoch histograms.
@@ -310,14 +330,17 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// replan must rebuild orientation from scratch.
   bool force_reconcile_ = true;
 
-  // ---- slot-power materialization cache (kGlobal) ----
-  struct CachedSlotPower {
-    std::vector<geom::LinkId> members;  ///< sorted stable ids
-    std::vector<double> log2_power;     ///< aligned with members
-    std::uint64_t clock_mark = 0;       ///< store clock at computation
-    bool feasible = false;
-  };
-  std::unordered_map<std::uint64_t, CachedSlotPower> power_cache_;
+  // ---- slot ledger (schedule::LedgerSlot state of every final slot,
+  // keyed by stable LinkId so it survives the dense re-indexing) ----
+  /// Each link's log2 power in its final slot (kGlobal: the carried
+  /// certificate; fixed-power modes: the pinned assignment).
+  std::vector<double> ledger_power_;
+  /// Each link's load bound in its final slot; +inf when the slot's powers
+  /// are unknown (full replans leave every slot so until it is re-seeded).
+  std::vector<double> ledger_load_;
+  /// Per previous final slot: its bounds are exact (no departure since
+  /// they were computed) — a pinned ledger's rejection is then final.
+  std::vector<char> ledger_exact_;
   std::vector<sinr::PowerAssignment> slot_powers_;
   bool slot_powers_current_ = false;
 

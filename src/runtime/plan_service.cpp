@@ -66,8 +66,8 @@ void execute_session_request(const PlanRequest& request,
   dynamic::DynamicPlanner planner(request.points, options);
 
   // Serving sessions ship the actual transmit powers every epoch; the
-  // planner's membership-keyed cache means carried-over slots cost a hash
-  // lookup instead of a Perron solve.
+  // planner's slot ledger already holds the vector that certified each
+  // slot in repair, so shipping it is an embedding, not a Perron solve.
   const bool materialize_powers =
       request.config.power_mode == core::PowerMode::kGlobal;
   if (materialize_powers) (void)planner.slot_powers();
@@ -87,7 +87,8 @@ void execute_session_request(const PlanRequest& request,
   for (const auto& report : reports) {
     const bool epoch_valid =
         report.valid &&
-        (!report.audited || (report.audit_valid && report.audit_tree_match));
+        (!report.audited || (report.audit_valid && report.audit_power_valid &&
+                             report.audit_tree_match));
     if (epoch_valid) ++outcome.epochs_valid;
     all_valid = all_valid && epoch_valid;
     if (report.epoch > 0 && report.full_replan) ++outcome.full_replans;

@@ -1,7 +1,6 @@
 #include "schedule/repair.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "sinr/feasibility.h"
@@ -66,179 +65,72 @@ RepairResult repair_schedule(const geom::LinkView& links,
   return result;
 }
 
-PatchResult patch_slot(const geom::LinkView& links,
-                       std::vector<std::vector<std::size_t>> kept,
+PatchResult patch_slot(SlotLedger& ledger, LedgerSlot kept,
                        std::span<const std::size_t> loose,
-                       const FeasibilityOracle& oracle,
                        bool kept_certified) {
   PatchResult result;
-  result.sub_slots = std::move(kept);
-  // Drop sub-slots emptied by deletions.
-  std::erase_if(result.sub_slots,
-                [](const std::vector<std::size_t>& sub) { return sub.empty(); });
-  if (!kept_certified && result.sub_slots.size() > 1) {
-    throw std::invalid_argument(
-        "patch_slot: uncertified kept must be a single sub-slot");
-  }
-
+  bool has_kept = !kept.members.empty();
   // Longest-first, matching repair_schedule's packing order.
-  std::vector<std::size_t> ordered = pack_order(links, loose);
+  std::vector<std::size_t> ordered = pack_order(ledger.links(), loose);
 
-  std::vector<std::size_t> trial;
   // Optimistic fast path: at low churn the whole class usually still fits
-  // in one slot, so one oracle call on (kept + loose) replaces |loose|
-  // incremental checks — and certifies the merged membership outright,
-  // uncertified kept included. Costs a single extra call when it misses.
-  if (result.sub_slots.size() <= 1 &&
-      (ordered.size() > 1 || (!kept_certified && !ordered.empty()))) {
-    trial = result.sub_slots.empty() ? std::vector<std::size_t>{}
-                                     : result.sub_slots.front();
-    trial.insert(trial.end(), ordered.begin(), ordered.end());
-    ++result.oracle_calls;
-    if (oracle(trial)) {
-      if (result.sub_slots.empty()) {
-        ++result.slots_opened;
-        result.sub_slots.push_back(std::move(trial));
+  // in one slot, so one decision on (kept + loose) replaces |loose|
+  // incremental ones — and certifies the merged membership outright,
+  // uncertified kept included. Costs a single extra decision when it misses.
+  if (ordered.size() > 1 || (!kept_certified && !ordered.empty())) {
+    LedgerSlot trial = kept;
+    // Once the trial is over bound no later insertion brings it back, so
+    // the rest join without a probe.
+    bool bounded = ledger.certifies(trial);
+    for (const std::size_t link : ordered) {
+      if (bounded) {
+        bounded = ledger.insert(trial, link);
       } else {
-        result.sub_slots.front() = std::move(trial);
+        ledger.append(trial, link);
       }
+    }
+    ++result.oracle_calls;
+    if (ledger.settle(trial, result.certificates)) {
+      if (!has_kept) ++result.slots_opened;
+      result.sub_slots.push_back(std::move(trial));
       return result;
     }
   }
 
-  // Before any insertion trusts an uncertified kept sub-slot, re-check it
-  // once; a rejected kept (the oracle's bound is conservative, not
-  // monotone) is demoted into the loose set and repacked.
-  if (!kept_certified && !result.sub_slots.empty()) {
+  // Before any insertion trusts an uncertified kept, re-check it once; a
+  // rejected kept is demoted into the loose set and repacked.
+  if (!kept_certified && has_kept) {
     ++result.oracle_calls;
-    if (!oracle(result.sub_slots.front())) {
-      ordered.insert(ordered.end(), result.sub_slots.front().begin(),
-                     result.sub_slots.front().end());
-      result.sub_slots.clear();
-      ordered = pack_order(links, ordered);
+    if (!ledger.settle(kept, result.certificates)) {
+      ordered.insert(ordered.end(), kept.members.begin(), kept.members.end());
+      ordered = pack_order(ledger.links(), ordered);
+      has_kept = false;
     }
   }
+  if (has_kept) result.sub_slots.push_back(std::move(kept));
   for (const std::size_t link : ordered) {
     bool placed = false;
     for (auto& sub : result.sub_slots) {
-      trial = sub;
-      trial.push_back(link);
       ++result.oracle_calls;
-      if (oracle(trial)) {
-        sub.push_back(link);
+      if (ledger.admit(sub, link, result.certificates)) {
         placed = true;
         break;
       }
     }
     if (!placed) {
-      trial = {link};
+      LedgerSlot single = ledger.open(link);
       ++result.oracle_calls;
-      if (!oracle(trial)) {
+      if (!ledger.settle(single, result.certificates)) {
         throw std::runtime_error(
             "patch_slot: singleton slot infeasible; instance is not "
             "interference-limited under this oracle");
       }
-      result.sub_slots.push_back(std::move(trial));
+      result.sub_slots.push_back(std::move(single));
       ++result.slots_opened;
     }
   }
   return result;
 }
-
-namespace {
-
-/// Incremental first-fit packer for a fixed power assignment: keeps the
-/// running SINR load of every placed link so that each placement attempt
-/// costs O(|sub-slot|).
-class FixedPowerPacker {
- public:
-  FixedPowerPacker(const geom::LinkView& links, const sinr::SinrParams& params,
-                   const sinr::PowerAssignment& power, double tolerance)
-      : links_(links), params_(params), power_(power), tolerance_(tolerance) {
-    log2_len_.reserve(links.size());
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      log2_len_.push_back(std::log2(links.length(i)));
-    }
-  }
-
-  /// beta * I_P(j, i), saturating instead of overflowing.
-  [[nodiscard]] double load_term(std::size_t j, std::size_t i) const {
-    const double d = links_.sinr_distance(j, i);
-    if (d <= 0.0) return 1e30;
-    const double lg = std::log2(params_.beta) + power_.log2_power(j) -
-                      power_.log2_power(i) +
-                      params_.alpha * (log2_len_[i] - std::log2(d));
-    if (lg >= 100.0) return 1e30;
-    if (lg <= -1074.0) return 0.0;
-    return std::exp2(lg);
-  }
-
-  /// beta * noise * l_i^alpha / P_i.
-  [[nodiscard]] double noise_load(std::size_t i) const {
-    if (params_.noise <= 0.0) return 0.0;
-    const double lg = std::log2(params_.beta) + std::log2(params_.noise) +
-                      params_.alpha * log2_len_[i] - power_.log2_power(i);
-    return lg >= 100.0 ? 1e30 : std::exp2(lg);
-  }
-
-  /// Greedily packs `ordered` into feasible sub-slots.
-  /// Throws std::runtime_error if a singleton is infeasible.
-  [[nodiscard]] std::vector<std::vector<std::size_t>> pack(
-      std::span<const std::size_t> ordered) const {
-    std::vector<std::vector<std::size_t>> slots;
-    std::vector<std::vector<double>> loads;  // per slot, aligned with members
-    std::vector<double> incoming;
-    for (const std::size_t x : ordered) {
-      const double own = noise_load(x);
-      if (own > 1.0 + tolerance_) {
-        throw std::runtime_error(
-            "repair_schedule_fixed_power: singleton slot infeasible; "
-            "instance is not interference-limited under this power");
-      }
-      bool placed = false;
-      for (std::size_t s = 0; s < slots.size() && !placed; ++s) {
-        auto& members = slots[s];
-        auto& member_loads = loads[s];
-        incoming.assign(1, own);
-        bool ok = true;
-        double new_load = own;
-        for (std::size_t a = 0; a < members.size() && ok; ++a) {
-          const std::size_t i = members[a];
-          if (links_.shares_node(x, i)) {
-            ok = false;
-            break;
-          }
-          const double inc = load_term(x, i);
-          if (member_loads[a] + inc > 1.0 + tolerance_) ok = false;
-          new_load += load_term(i, x);
-          if (new_load > 1.0 + tolerance_) ok = false;
-          incoming.push_back(inc);
-        }
-        if (!ok) continue;
-        for (std::size_t a = 0; a < members.size(); ++a) {
-          member_loads[a] += incoming[a + 1];
-        }
-        members.push_back(x);
-        member_loads.push_back(new_load);
-        placed = true;
-      }
-      if (!placed) {
-        slots.push_back({x});
-        loads.push_back({own});
-      }
-    }
-    return slots;
-  }
-
- private:
-  const geom::LinkView& links_;
-  sinr::SinrParams params_;
-  const sinr::PowerAssignment& power_;
-  double tolerance_;
-  std::vector<double> log2_len_;
-};
-
-}  // namespace
 
 RepairResult repair_schedule_fixed_power(const geom::LinkView& links,
                                          const Schedule& schedule,
@@ -248,16 +140,35 @@ RepairResult repair_schedule_fixed_power(const geom::LinkView& links,
   params.validate();
   RepairResult result;
   result.length_before = schedule.length();
-  const FixedPowerPacker packer(links, params, power, tolerance);
+  SlotLedger ledger(links, params, power, tolerance);
+  CertificateCounts counts;  // exact pinned bounds: every decision is a hit
+  std::vector<LedgerSlot> subs;
   for (const auto& slot : schedule.slots) {
     if (sinr::is_feasible(links, slot, params, power, tolerance)) {
       result.schedule.slots.push_back(slot);
       continue;
     }
     ++result.slots_split;
-    const auto ordered = pack_order(links, slot);
-    for (auto& sub : packer.pack(ordered)) {
-      result.schedule.slots.push_back(std::move(sub));
+    subs.clear();
+    for (const std::size_t link : pack_order(links, slot)) {
+      bool placed = false;
+      for (auto& sub : subs) {
+        if (ledger.admit(sub, link, counts)) {
+          placed = true;
+          break;
+        }
+      }
+      if (placed) continue;
+      // A link no sub-slot admits: its own noise load is its whole load.
+      subs.push_back(ledger.open(link));
+      if (!ledger.certifies(subs.back())) {
+        throw std::runtime_error(
+            "repair_schedule_fixed_power: singleton slot infeasible; "
+            "instance is not interference-limited under this power");
+      }
+    }
+    for (auto& sub : subs) {
+      result.schedule.slots.push_back(std::move(sub.members));
     }
   }
   result.length_after = result.schedule.length();

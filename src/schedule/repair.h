@@ -2,6 +2,7 @@
 #define WAGG_SCHEDULE_REPAIR_H
 
 #include "geom/linkset.h"
+#include "schedule/ledger.h"
 #include "schedule/schedule.h"
 #include "schedule/verify.h"
 
@@ -43,48 +44,42 @@ struct RepairResult {
 
 /// Outcome of a patch-level (single color class) repair.
 struct PatchResult {
-  /// Feasible sub-slots covering kept + loose exactly once each.
-  std::vector<std::vector<std::size_t>> sub_slots;
-  /// Oracle invocations performed (the cost driver of repair).
+  /// Feasible sub-slots covering kept + loose exactly once each, each with
+  /// the ledger powers and bounds that certify it.
+  std::vector<LedgerSlot> sub_slots;
+  /// Feasibility decisions taken (what repair cost scales with); each is a
+  /// certificate hit or a miss, so hits + misses == oracle_calls.
   std::size_t oracle_calls = 0;
-  /// Sub-slots that were opened fresh (not reused from `kept`).
+  CertificateCounts certificates;
+  /// Sub-slots that were opened fresh (not grown from `kept`).
   std::size_t slots_opened = 0;
 };
 
 /// Patch-level repair: the incremental counterpart of repair_schedule for
-/// ONE slot whose membership changed. `kept` is a partition of the slot's
-/// surviving links into sub-slots the caller can certify feasible under
-/// THIS oracle — in practice, sub-slots whose exact membership the oracle
-/// accepted before (oracles are deterministic, so the certificate carries;
-/// do NOT rely on feasibility being monotone under member departure — the
-/// power-control oracle's iterative bound is conservative and need not be).
-/// `loose` are the changed/new links; each is first-fit inserted into the
-/// first sub-slot the oracle accepts it into, else opens a new sub-slot.
-/// Only insertions are oracle-checked, so the cost is proportional to
-/// |loose|, not the slot.
+/// ONE slot whose membership changed. `kept` holds the slot's surviving
+/// links with their ledger powers and load bounds (ledger.unknown(...) when
+/// none are known); `loose` are the changed/new links, first-fit inserted
+/// longest first into the first sub-slot that admits them, else opening a
+/// new sub-slot. Every decision goes through the ledger: an O(|sub-slot|)
+/// certificate when the bounds suffice, the exact decision otherwise.
 ///
-/// When the caller cannot certify `kept` (e.g. members departed since the
-/// oracle last accepted it), pass kept_certified = false: the fast path
-/// still tries the whole class first (success certifies everything), and
-/// otherwise kept is re-checked once — demoted into the loose set if the
-/// oracle rejects it — before any insertion trusts it. Requires kept to
-/// hold at most one sub-slot in that case.
+/// Policy: an optimistic fast path first tries the whole class (kept +
+/// loose) in one decision. When members departed since kept was last
+/// accepted, pass kept_certified = false: kept is then re-checked once —
+/// demoted into the loose set if rejected — before any insertion trusts it.
 ///
 /// Preconditions: kept/loose are disjoint and duplicate-free; every
-/// singleton must satisfy the oracle (std::runtime_error otherwise, as in
-/// repair_schedule). Certified kept sub-slots are NOT re-verified.
-[[nodiscard]] PatchResult patch_slot(const geom::LinkView& links,
-                                     std::vector<std::vector<std::size_t>> kept,
+/// singleton must be feasible (std::runtime_error otherwise, as in
+/// repair_schedule).
+[[nodiscard]] PatchResult patch_slot(SlotLedger& ledger, LedgerSlot kept,
                                      std::span<const std::size_t> loose,
-                                     const FeasibilityOracle& oracle,
                                      bool kept_certified = true);
 
 /// Same contract as repair_schedule, specialized for a fixed power
-/// assignment: sub-slot feasibility is maintained incrementally (running
-/// per-link interference loads), making each placement attempt O(|sub-slot|)
-/// instead of O(|sub-slot|^2). Large uniform-power instances repair orders
-/// of magnitude faster; output slots pass the exact fixed-power check with
-/// the same tolerance.
+/// assignment: sub-slots are pinned-power ledgers, so each placement attempt
+/// costs O(|sub-slot|) instead of O(|sub-slot|^2). Large uniform-power
+/// instances repair orders of magnitude faster; output slots pass the exact
+/// fixed-power check with the same tolerance.
 [[nodiscard]] RepairResult repair_schedule_fixed_power(
     const geom::LinkView& links, const Schedule& schedule,
     const sinr::SinrParams& params, const sinr::PowerAssignment& power,

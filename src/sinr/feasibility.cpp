@@ -127,6 +127,32 @@ bool is_feasible(const geom::LinkView& links, std::span<const std::size_t> set,
 
 namespace {
 
+/// log2 of the noise load beta * N * l_i^alpha at power 1; -inf if N == 0.
+double log2_own_noise(const geom::LinkView& links, const SinrParams& params,
+                      std::size_t i) {
+  if (params.noise <= 0.0) return -kInf;
+  return std::log2(params.beta * params.noise) +
+         params.alpha * std::log2(links.length(i));
+}
+
+/// log2 of every member's load under log2 powers `lp`, given the log2 gain
+/// matrix: log2(sum_j M_ij 2^lp_j + beta N l_i^alpha) - lp_i.
+std::vector<double> log2_loads(const geom::LinkView& links,
+                               std::span<const std::size_t> set,
+                               const SinrParams& params,
+                               std::span<const double> m,
+                               std::span<const double> lp) {
+  const std::size_t k = set.size();
+  std::vector<double> loads(k);
+  std::vector<double> terms(k + 1);
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = 0; b < k; ++b) terms[b] = m[a * k + b] + lp[b];
+    terms[k] = log2_own_noise(links, params, set[a]);
+    loads[a] = log2_sum_exp2(terms) - lp[a];
+  }
+  return loads;
+}
+
 /// log2 of the normalized gain matrix M_ij = beta * (l_i / d_ji)^alpha,
 /// row-major over the set; diagonal is -inf.
 std::vector<double> log2_gain_matrix(const geom::LinkView& links,
@@ -173,6 +199,7 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
     result.feasible = true;
     result.spectral_radius = 0.0;
     result.log2_power = {0.0};
+    result.log2_load = {log2_own_noise(links, params, set[0])};
     return result;
   }
   const auto m = log2_gain_matrix(links, set, params);
@@ -199,6 +226,8 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
       const double mx =
           std::max(result.log2_power[0], result.log2_power[1]);
       for (double& p : result.log2_power) p -= mx;
+      result.log2_load = {a + result.log2_power[1] - result.log2_power[0],
+                          b + result.log2_power[0] - result.log2_power[1]};
       result.feasible = true;
     }
   } else {
@@ -209,6 +238,7 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
     // most the max ratio). Ambiguous spectra iterate up to the budget.
     std::vector<double> v(k, 0.0), w(k, -kInf), terms(k);
     double rho_upper = kInf;
+    double min_ratio = -kInf;  // Collatz–Wielandt lower bound on log2 rho
     for (int iter = 0; iter < options.max_iterations; ++iter) {
       ++result.iterations;
       for (std::size_t a = 0; a < k; ++a) {
@@ -217,8 +247,10 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
       }
       double max_ratio = -kInf;
       double max_w = -kInf;
+      min_ratio = kInf;
       for (std::size_t a = 0; a < k; ++a) {
         if (w[a] != -kInf) max_ratio = std::max(max_ratio, w[a] - v[a]);
+        min_ratio = std::min(min_ratio, w[a] - v[a]);
         max_w = std::max(max_w, w[a]);
       }
       if (max_ratio == -kInf) {
@@ -226,6 +258,7 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
         result.spectral_radius = 0.0;
         result.feasible = true;
         result.log2_power.assign(k, 0.0);
+        result.log2_load.assign(k, -kInf);
         return result;
       }
       const double new_upper = safe_exp2(max_ratio);
@@ -244,8 +277,58 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
       }
       if (converged) break;
     }
+    const double log2_threshold = std::log2(1.0 - options.strictness);
+    if (!(rho_upper < 1.0 - options.strictness) &&
+        min_ratio < log2_threshold) {
+      // The plain iteration stalls on nearly periodic gain matrices (a
+      // strongly coupled pair plus weakly coupled rest puts eigenvalues
+      // +-rho on the spectrum, and the upper bound then alternates between
+      // the pair's members without dropping), so it rejects sets whose
+      // spectral radius is far below 1. The CW lower bound has not proven
+      // infeasibility, so continue on M + I: same eigenvectors, eigenvalues
+      // shifted by 1, a strictly dominant Perron root, and the iterate's
+      // ratios under M still certify or refute.
+      rho_upper = kInf;
+      for (int iter = 0; iter < options.max_iterations; ++iter) {
+        ++result.iterations;
+        double max_ratio = -kInf;
+        double max_w = -kInf;
+        min_ratio = kInf;
+        for (std::size_t a = 0; a < k; ++a) {
+          for (std::size_t b = 0; b < k; ++b) {
+            terms[b] = m[a * k + b] + v[b];
+          }
+          w[a] = log2_sum_exp2(terms);  // (Mv)_a
+          max_ratio = std::max(max_ratio, w[a] - v[a]);
+          min_ratio = std::min(min_ratio, w[a] - v[a]);
+        }
+        const double new_upper = safe_exp2(max_ratio);
+        const bool converged =
+            std::isfinite(rho_upper) &&
+            std::abs(new_upper - rho_upper) <=
+                options.tolerance * std::max(1.0, rho_upper);
+        rho_upper = new_upper;
+        if (new_upper < 1.0 - options.strictness ||
+            min_ratio >= log2_threshold || converged) {
+          break;
+        }
+        for (std::size_t a = 0; a < k; ++a) {
+          // ((M + I) v)_a = 2^w_a + 2^v_a, in log2 space.
+          const double hi = std::max(w[a], v[a]);
+          w[a] = hi + std::log2(std::exp2(w[a] - hi) + std::exp2(v[a] - hi));
+          max_w = std::max(max_w, w[a]);
+        }
+        for (std::size_t a = 0; a < k; ++a) v[a] = w[a] - max_w;
+      }
+    }
     result.spectral_radius = rho_upper;
     if (rho_upper < 1.0 - options.strictness) {
+      // Only the Collatz–Wielandt exit gets here feasible: w = Mv is the
+      // last product, so each load is w_a - v_a.
+      result.log2_load.resize(k);
+      for (std::size_t a = 0; a < k; ++a) {
+        result.log2_load[a] = w[a] == -kInf ? -kInf : w[a] - v[a];
+      }
       result.log2_power = v;
       result.feasible = true;
     }
@@ -282,6 +365,7 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
     // Headroom against the exact-equality fixed point.
     for (double& p : lp) p += std::log2(1.0 + params.epsilon);
     result.log2_power = lp;
+    result.log2_load = log2_loads(links, set, params, m, lp);
     slot_power = embed_slot_power(links, set, result);
   }
   const auto report = check_feasible(links, set, params, slot_power, 1e-7);

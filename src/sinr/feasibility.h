@@ -66,8 +66,12 @@ struct PowerControlResult {
   double spectral_radius = 0.0;
   bool shared_node = false;
   /// log2 of the computed power vector (aligned with `set`); empty if
-  /// infeasible. Normalized so the maximum log2-power is 0.
+  /// infeasible. Normalized so the maximum log2-power is 0 (noise-free).
   std::vector<double> log2_power;
+  /// log2 of each member's SINR load under log2_power (aligned with `set`,
+  /// -inf for a load of 0); empty if infeasible. Noise-free these are the
+  /// Collatz–Wielandt ratios, all below 1 - strictness.
+  std::vector<double> log2_load;
   int iterations = 0;
 };
 

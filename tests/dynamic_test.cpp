@@ -3,10 +3,12 @@
 #include <cmath>
 #include <cstddef>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "conflict/conflict_index.h"
 #include "conflict/fgraph.h"
+#include "core/planner.h"
 #include "dynamic/dynamic_planner.h"
 #include "dynamic/mutation.h"
 #include "mst/incremental.h"
@@ -14,6 +16,7 @@
 #include "obs/metrics.h"
 #include "runtime/plan_service.h"
 #include "schedule/verify.h"
+#include "sinr/feasibility.h"
 #include "util/rng.h"
 #include "workload/workload.h"
 
@@ -479,6 +482,102 @@ TEST(DynamicPlanner, BadMutationMidBatchThenGoodEpochRecovers) {
   EXPECT_TRUE(after_bulk.audit_tree_match);
   EXPECT_TRUE(after_bulk.audit_store_match);
   EXPECT_TRUE(after_bulk.audit_index_match);
+}
+
+/// The slot ledger's certificates are sound: across randomized global churn
+/// (noise 0 and > 0, with a bulk full-replan epoch and a failed epoch mixed
+/// in), every shipped power vector satisfies the exact SINR inequalities on
+/// its slot, every slot passes the cold oracle, localized epochs ship their
+/// powers without a single fresh solve, and a failed epoch drops the ledger.
+TEST(DynamicPlanner, SlotLedgerCertificatesAreSound) {
+  for (const std::size_t n : {64u, 256u}) {
+    for (const double noise : {0.0, 1e-6}) {
+      for (const std::uint64_t seed : {3u, 8u}) {
+        SCOPED_TRACE("n " + std::to_string(n) + " noise " +
+                     std::to_string(noise) + " seed " + std::to_string(seed));
+        const auto points = workload::make_family("uniform", n, seed);
+        ChurnParams params;
+        params.epochs = 8;
+        params.rate = 0.03;
+        const auto trace = make_churn_trace(points, params, seed + 100);
+        DynamicOptions options;
+        options.config = workload::mode_config(core::PowerMode::kGlobal);
+        options.config.sinr.noise = noise;
+        options.audit = n <= 64;
+        DynamicPlanner planner(points, options);
+
+        const auto check = [&](const char* where) {
+          const auto& powers = planner.slot_powers();
+          const auto& report = planner.last_report();
+          const auto& snapshot = planner.snapshot();
+          ASSERT_EQ(powers.size(), snapshot.schedule.slots.size()) << where;
+          for (std::size_t s = 0; s < powers.size(); ++s) {
+            EXPECT_TRUE(sinr::is_feasible(snapshot.links,
+                                          snapshot.schedule.slots[s],
+                                          options.config.sinr, powers[s],
+                                          1e-6))
+                << where << " slot " << s;
+          }
+          const auto oracle =
+              core::oracle_for_mode(snapshot.links, options.config);
+          EXPECT_TRUE(
+              schedule::verify_schedule(snapshot.links, snapshot.schedule,
+                                        oracle)
+                  .ok())
+              << where;
+          if (report.epoch > 0 && !report.full_replan) {
+            EXPECT_EQ(report.power_slots_computed, 0u) << where;
+          }
+          EXPECT_EQ(report.certificate_hits + report.certificate_misses,
+                    report.oracle_calls)
+              << where;
+          if (report.audited) {
+            EXPECT_TRUE(report.audit_valid) << where;
+            EXPECT_TRUE(report.audit_power_valid) << where;
+          }
+        };
+        check("construction");
+
+        bool saw_bulk = false;
+        for (std::size_t e = 0; e < trace.size(); ++e) {
+          const auto report = planner.apply(trace[e]);
+          EXPECT_TRUE(report.valid);
+          check("trace epoch");
+          if (e == 2) {
+            // Bulk epoch: move a quarter of the nodes (ids and liveness
+            // untouched, so the rest of the trace stays applicable).
+            std::vector<Mutation> bulk;
+            const auto& ids = planner.snapshot().ids;
+            const auto& pts = planner.snapshot().points;
+            for (std::size_t k = 0; k < ids.size(); k += 4) {
+              bulk.push_back({Mutation::Kind::kMove, ids[k],
+                              {pts[k].x * 0.97 + 0.05, pts[k].y * 1.01}});
+            }
+            const auto bulk_report = planner.apply(bulk);
+            saw_bulk = bulk_report.full_replan;
+            check("bulk epoch");
+          }
+          if (e == 4) {
+            // Failed epoch: a good move, then removing the sink.
+            const auto& snapshot = planner.snapshot();
+            std::vector<Mutation> bad;
+            bad.push_back({Mutation::Kind::kMove, snapshot.ids.back(),
+                           snapshot.points.back()});
+            bad.push_back({Mutation::Kind::kRemove, planner.sink(), {}});
+            EXPECT_THROW((void)planner.apply(bad), std::invalid_argument);
+            // The ledger went with the carried state: every slot of the
+            // (unchanged) plan is solved afresh.
+            const auto before = planner.last_report().power_slots_computed;
+            const auto slots = planner.snapshot().schedule.length();
+            (void)planner.slot_powers();
+            EXPECT_EQ(planner.last_report().power_slots_computed - before,
+                      slots);
+          }
+        }
+        EXPECT_TRUE(saw_bulk);
+      }
+    }
+  }
 }
 
 /// Regression: a FAILED epoch loses its touched-node list, and the recovery

@@ -218,7 +218,7 @@ TEST(DynamicPlanner, SlotPowersAreValidAndCacheCarriedSlots) {
     const auto& snapshot = planner.snapshot();
     ASSERT_EQ(powers.size(), snapshot.schedule.slots.size());
     for (std::size_t s = 0; s < powers.size(); ++s) {
-      // Each Perron vector must satisfy the exact SINR inequalities on its
+      // Each shipped vector must satisfy the exact SINR inequalities on its
       // slot — the certificate a radio deployment would ship.
       EXPECT_TRUE(sinr::is_feasible(snapshot.links,
                                     snapshot.schedule.slots[s],
@@ -227,20 +227,23 @@ TEST(DynamicPlanner, SlotPowersAreValidAndCacheCarriedSlots) {
     }
   };
   verify_powers();
-  EXPECT_GT(planner.last_report().power_slots_computed, 0u);
+  // Construction plans from scratch: no slot ledger covers its slots yet,
+  // so every slot is solved fresh (and seeds its ledger).
+  EXPECT_EQ(planner.last_report().power_slots_computed,
+            planner.last_report().slots);
 
-  std::size_t cached_total = 0;
   for (const auto& epoch : trace) {
     (void)planner.apply(epoch);
     verify_powers();
     const auto& report = planner.last_report();
-    cached_total += report.power_slots_cached;
     EXPECT_EQ(report.power_slots_cached + report.power_slots_computed,
               report.slots);
+    // A localized epoch certified every slot it kept or patched through
+    // the ledger; its powers ship with no fresh solve at all.
+    if (!report.full_replan) {
+      EXPECT_EQ(report.power_slots_computed, 0u) << "epoch " << report.epoch;
+    }
   }
-  // Low churn carries most slots over; the membership cache must serve
-  // them without fresh Perron solves.
-  EXPECT_GT(cached_total, 0u);
 
   // Repeated materialization within an epoch is free (memoized).
   const auto before = planner.last_report().power_slots_computed;

@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "geom/linkset.h"
 #include "instance/basic.h"
 #include "instance/special.h"
 #include "mst/tree.h"
+#include "schedule/ledger.h"
 #include "schedule/repair.h"
 #include "schedule/schedule.h"
 #include "schedule/verify.h"
+#include "sinr/feasibility.h"
 #include "sinr/power.h"
+#include "util/rng.h"
 
 namespace wagg::schedule {
 namespace {
@@ -234,84 +241,253 @@ TEST(Repair, AllPairwiseInfeasibleSlotExplodesIntoSingletons) {
   EXPECT_EQ(fixed.length_after, 3u);
 }
 
+/// A kept slot whose exact loads are known (a previously accepted slot).
+LedgerSlot known(SlotLedger& ledger, const std::vector<std::size_t>& members) {
+  LedgerSlot slot = ledger.unknown(members);
+  ledger.reseed(slot);
+  return slot;
+}
+
 TEST(PatchSlot, InsertsLooseIntoKeptWhenFeasible) {
   const auto links = chain_links(8);  // 7 unit links
   const auto prm = params(3.0, 1.0);
-  const auto oracle =
-      fixed_power_oracle(links, prm, sinr::uniform_power(links, prm));
+  const auto power = sinr::uniform_power(links, prm);
+  const auto oracle = fixed_power_oracle(links, prm, power);
+  SlotLedger ledger(links, prm, power);
   // Far-apart links 0 and 6 coexist; insert 3 (feasible with neither-near
   // set? checked via oracle) as loose.
-  std::vector<std::vector<std::size_t>> kept = {{0, 6}};
-  ASSERT_TRUE(oracle(kept[0]));
+  ASSERT_TRUE(oracle(std::vector<std::size_t>{0, 6}));
   const std::vector<std::size_t> loose = {3};
-  const auto patch = patch_slot(links, kept, loose, oracle);
+  const auto patch = patch_slot(ledger, known(ledger, {0, 6}), loose);
   std::size_t members = 0;
-  for (const auto& sub : patch.sub_slots) members += sub.size();
+  for (const auto& sub : patch.sub_slots) members += sub.members.size();
   EXPECT_EQ(members, 3u);
   EXPECT_GE(patch.oracle_calls, 1u);
+  EXPECT_EQ(patch.certificates.hits + patch.certificates.misses,
+            patch.oracle_calls);
   for (const auto& sub : patch.sub_slots) {
-    EXPECT_TRUE(oracle(sub));
+    EXPECT_TRUE(oracle(sub.members));
   }
 }
 
 TEST(PatchSlot, MixesInsertionAndNewSubSlots) {
   const auto inst = instance::five_cycle_instance();
   const auto prm = params(3.0, 1.0);
-  const auto oracle = fixed_power_oracle(
-      inst.links, prm, sinr::uniform_power(inst.links, prm));
+  const auto power = sinr::uniform_power(inst.links, prm);
+  const auto oracle = fixed_power_oracle(inst.links, prm, power);
+  SlotLedger ledger(inst.links, prm, power);
   // Five-cycle: adjacent pairs are infeasible, non-adjacent pairs feasible.
   // Kept slot {0}; loose 1 (adjacent to 0 -> new sub-slot) and 2
   // (non-adjacent to 0 -> joins the kept slot).
   ASSERT_TRUE(oracle(std::vector<std::size_t>{0, 2}));
-  std::vector<std::vector<std::size_t>> kept = {{0}};
   const std::vector<std::size_t> loose = {1, 2};
-  const auto patch = patch_slot(inst.links, kept, loose, oracle);
+  const auto patch = patch_slot(ledger, known(ledger, {0}), loose);
   ASSERT_EQ(patch.sub_slots.size(), 2u);
   EXPECT_EQ(patch.slots_opened, 1u);
-  EXPECT_EQ(patch.sub_slots[0], (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(patch.sub_slots[1], (std::vector<std::size_t>{1}));
+  EXPECT_EQ(patch.sub_slots[0].members, (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(patch.sub_slots[1].members, (std::vector<std::size_t>{1}));
+  // Exact pinned bounds decide everything without a recompute.
+  EXPECT_EQ(patch.certificates.misses, 0u);
+  EXPECT_EQ(patch.certificates.hits, patch.oracle_calls);
   for (const auto& sub : patch.sub_slots) {
-    EXPECT_TRUE(oracle(sub));
+    EXPECT_TRUE(oracle(sub.members));
   }
 }
 
 TEST(PatchSlot, UncertifiedKeptIsRecheckedOrRepacked) {
   const auto inst = instance::five_cycle_instance();
   const auto prm = params(3.0, 1.0);
-  const auto oracle = fixed_power_oracle(
-      inst.links, prm, sinr::uniform_power(inst.links, prm));
-  // Feasible shrunk kept: one oracle call re-certifies it.
+  const auto power = sinr::uniform_power(inst.links, prm);
+  const auto oracle = fixed_power_oracle(inst.links, prm, power);
+  SlotLedger ledger(inst.links, prm, power);
+  // Feasible shrunk kept: one decision re-certifies it.
   {
-    const auto patch = patch_slot(inst.links, {{0, 2}}, {}, oracle, false);
+    const auto patch =
+        patch_slot(ledger, ledger.unknown({{0, 2}}), {}, false);
     ASSERT_EQ(patch.sub_slots.size(), 1u);
-    EXPECT_EQ(patch.sub_slots[0], (std::vector<std::size_t>{0, 2}));
+    EXPECT_EQ(patch.sub_slots[0].members, (std::vector<std::size_t>{0, 2}));
     EXPECT_EQ(patch.oracle_calls, 1u);
+    // Unknown bounds cannot certify: the exact recompute decided it.
+    EXPECT_EQ(patch.certificates.misses, 1u);
   }
   // Infeasible kept (adjacent pair): demoted and repacked into singletons.
   {
-    const auto patch = patch_slot(inst.links, {{0, 1}}, {}, oracle, false);
+    const auto patch =
+        patch_slot(ledger, ledger.unknown({{0, 1}}), {}, false);
     ASSERT_EQ(patch.sub_slots.size(), 2u);
     for (const auto& sub : patch.sub_slots) {
-      EXPECT_EQ(sub.size(), 1u);
-      EXPECT_TRUE(oracle(sub));
+      EXPECT_EQ(sub.members.size(), 1u);
+      EXPECT_TRUE(oracle(sub.members));
     }
   }
-  // Uncertified kept must be a single sub-slot.
-  EXPECT_THROW(
-      (void)patch_slot(inst.links, {{0}, {2}}, {}, oracle, false),
-      std::invalid_argument);
 }
 
-TEST(PatchSlot, DropsEmptiedKeptSubSlots) {
+TEST(PatchSlot, EmptyKeptWithoutLooseYieldsNothing) {
   const auto links = chain_links(4);
   const auto prm = params(3.0, 2.0);
-  const auto oracle =
-      fixed_power_oracle(links, prm, sinr::uniform_power(links, prm));
-  std::vector<std::vector<std::size_t>> kept = {{}, {0}, {}};
-  const auto patch = patch_slot(links, kept, {}, oracle);
-  ASSERT_EQ(patch.sub_slots.size(), 1u);
-  EXPECT_EQ(patch.sub_slots[0], (std::vector<std::size_t>{0}));
-  EXPECT_EQ(patch.oracle_calls, 0u);  // no loose links, no checks
+  const auto power = sinr::uniform_power(links, prm);
+  SlotLedger ledger(links, prm, power);
+  const auto none = patch_slot(ledger, LedgerSlot{}, {});
+  EXPECT_TRUE(none.sub_slots.empty());
+  const auto kept = patch_slot(ledger, known(ledger, {0}), {});
+  ASSERT_EQ(kept.sub_slots.size(), 1u);
+  EXPECT_EQ(kept.sub_slots[0].members, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(kept.oracle_calls, 0u);  // no loose links, no checks
+}
+
+TEST(PatchSlot, CarriedPowersCertifyInsertionsSoundly) {
+  // Arbitrary power control: whatever the carried ledger accepts — by its
+  // own bounds or through the cold oracle — ships a power vector that
+  // satisfies the exact SINR inequalities, and the cold oracle agrees.
+  const auto tree = mst::mst_tree(instance::uniform_square(160, 10.0, 5), 0);
+  const auto& links = tree.links;
+  const auto prm = params(3.0, 1.0);
+  const auto oracle = power_control_oracle(links, prm);
+  SlotLedger ledger(links, prm);
+  std::vector<std::size_t> all(links.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  const auto patch = patch_slot(ledger, LedgerSlot{}, all);
+  EXPECT_EQ(patch.certificates.hits + patch.certificates.misses,
+            patch.oracle_calls);
+  EXPECT_GT(patch.certificates.hits, 0u);
+  std::size_t covered = 0;
+  for (const auto& sub : patch.sub_slots) {
+    covered += sub.members.size();
+    ASSERT_TRUE(std::isfinite(sub.max_load()));
+    std::vector<double> lp(links.size(), 0.0);
+    for (std::size_t a = 0; a < sub.members.size(); ++a) {
+      lp[sub.members[a]] = sub.log2_power[a];
+    }
+    EXPECT_TRUE(sinr::is_feasible(links, sub.members, prm,
+                                  sinr::PowerAssignment(lp), 1e-9));
+    EXPECT_TRUE(oracle(sub.members));
+  }
+  EXPECT_EQ(covered, links.size());
+}
+
+/// Member loads under powers x, computed independently of the ledger
+/// through sinr::log2_affectance (log-sum-exp arithmetic).
+std::vector<double> exact_loads(const geom::LinkView& links,
+                                const LedgerSlot& slot,
+                                const sinr::SinrParams& prm) {
+  std::vector<double> lp(links.size(), 0.0);
+  for (std::size_t a = 0; a < slot.members.size(); ++a) {
+    lp[slot.members[a]] = slot.log2_power[a];
+  }
+  const sinr::PowerAssignment power(lp);
+  std::vector<double> loads;
+  for (const std::size_t i : slot.members) {
+    std::vector<double> terms;
+    for (const std::size_t j : slot.members) {
+      if (j != i) terms.push_back(sinr::log2_affectance(links, prm, power, j, i));
+    }
+    if (prm.noise > 0.0) {
+      terms.push_back(std::log2(prm.noise) +
+                      prm.alpha * std::log2(links.length(i)) - lp[i]);
+    }
+    loads.push_back(prm.beta * std::exp2(sinr::log2_sum_exp2(terms)));
+  }
+  return loads;
+}
+
+TEST(SlotLedger, BoundsDominateExactLoadsUnderChurn) {
+  // Random insert/remove sequences in both rules: the bounds never fall
+  // below the exact loads, and a re-seed makes them equal.
+  const auto tree = mst::mst_tree(instance::uniform_square(120, 12.0, 3), 0);
+  const auto& links = tree.links;
+  for (const double noise : {0.0, 1e-6}) {
+    auto prm = params(3.0, 1.0);
+    prm.noise = noise;
+    const auto power = sinr::linear_power(links, prm);
+    SlotLedger pinned(links, prm, power);
+    SlotLedger carried(links, prm);
+    for (SlotLedger* ledger : {&pinned, &carried}) {
+      util::Rng rng(17);
+      LedgerSlot slot;
+      slot.exact = true;
+      std::vector<bool> in(links.size(), false);
+      for (int step = 0; step < 300; ++step) {
+        if (!slot.members.empty() && rng.uniform() < 0.4) {
+          const auto a = rng.below(slot.members.size());
+          in[slot.members[a]] = false;
+          slot.members.erase(slot.members.begin() + static_cast<long>(a));
+          slot.log2_power.erase(slot.log2_power.begin() +
+                                static_cast<long>(a));
+          slot.load.erase(slot.load.begin() + static_cast<long>(a));
+          slot.exact = false;
+        } else {
+          const auto link = rng.below(links.size());
+          if (in[link]) continue;
+          // Keep the slot free of shared nodes so every load is finite.
+          bool shares = false;
+          for (const auto m : slot.members) {
+            shares = shares || links.shares_node(m, link);
+          }
+          if (shares) continue;
+          in[link] = true;
+          ledger->insert(slot, link);
+        }
+        const auto exact = exact_loads(links, slot, prm);
+        for (std::size_t a = 0; a < exact.size(); ++a) {
+          ASSERT_GE(slot.load[a], exact[a] * (1.0 - 1e-12))
+              << "step " << step << " member " << a;
+        }
+        if (step % 25 == 0) {
+          ledger->reseed(slot);
+          ASSERT_TRUE(slot.exact);
+          for (std::size_t a = 0; a < exact.size(); ++a) {
+            ASSERT_NEAR(slot.load[a], exact[a], 1e-12 * exact[a]);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SlotLedger, ColdSeedLoadsMatchExactLoads) {
+  // A miss re-seeds the slot from power_control_feasible's own loads; they
+  // must agree with an independent recomputation.
+  const auto tree = mst::mst_tree(instance::uniform_square(200, 14.0, 8), 0);
+  const auto& links = tree.links;
+  for (const double noise : {0.0, 1e-6}) {
+    auto prm = params(3.0, 1.0);
+    prm.noise = noise;
+    SlotLedger ledger(links, prm);
+    CertificateCounts counts;
+    std::vector<std::size_t> members;
+    for (std::size_t i = 0; i < links.size() && members.size() < 6; i += 17) {
+      members.push_back(i);
+    }
+    LedgerSlot slot = ledger.unknown(members);
+    if (!ledger.settle(slot, counts)) continue;
+    EXPECT_EQ(counts.misses, 1u);
+    ASSERT_TRUE(std::isfinite(slot.max_load()));
+    const auto exact = exact_loads(links, slot, prm);
+    for (std::size_t a = 0; a < exact.size(); ++a) {
+      EXPECT_NEAR(slot.load[a], exact[a], 1e-9 * std::max(1e-300, exact[a]));
+    }
+  }
+}
+
+TEST(SlotLedger, FixedPowerRepairMatchesOracleFirstFit) {
+  // The pinned ledger is the exact fixed-power check maintained
+  // incrementally: it packs exactly like first-fit over fixed_power_oracle.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto tree =
+        mst::mst_tree(instance::uniform_square(150, 10.0, seed), 0);
+    const auto& links = tree.links;
+    const auto prm = params(3.0, 1.0);
+    for (const auto& power :
+         {sinr::uniform_power(links, prm), sinr::linear_power(links, prm)}) {
+      Schedule one;
+      one.slots.emplace_back();
+      for (std::size_t i = 0; i < links.size(); ++i) one.slots[0].push_back(i);
+      const auto fast = repair_schedule_fixed_power(links, one, prm, power);
+      const auto slow = repair_schedule(
+          links, one, fixed_power_oracle(links, prm, power));
+      EXPECT_EQ(fast.schedule.slots, slow.schedule.slots) << "seed " << seed;
+    }
+  }
 }
 
 TEST(FiveCycle, AdjacentPairsAreInfeasible) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -262,6 +263,34 @@ TEST(PowerControl, PerronPowersCertifiedOnChains) {
   }
   // Either way the solver must return a definite verdict with finite rho.
   EXPECT_TRUE(std::isfinite(res.spectral_radius));
+}
+
+TEST(PowerControl, NearlyPeriodicSpectrumStillCertified) {
+  // Links 1 and 2 form a weakly coupled pair (eigenvalues +-0.1), and link
+  // 0's sender sits near link 1's receiver (M_10 ~ 4, M_01 ~ 3e-8). Plain
+  // power iteration then alternates its Collatz–Wielandt upper bound
+  // between the pair without it ever dropping (it stalls near 3.4 for the
+  // whole iteration budget), although rho(M) ~ 0.1.
+  const geom::Pointset pts{{31.8339, 23.5555}, {31.8611, 23.5753},
+                           {22.6433, 28.6437}, {28.6472, 26.0044},
+                           {18.7920, 19.1513}, {14.1720, 20.0929}};
+  const geom::LinkSet ls(
+      pts, {geom::Link{0, 1}, geom::Link{2, 3}, geom::Link{4, 5}});
+  const std::vector<std::size_t> all{0, 1, 2};
+  const auto prm = params();
+  const auto res = power_control_feasible(ls, all, prm);
+  ASSERT_TRUE(res.feasible);
+  EXPECT_LT(res.spectral_radius, 1.0);
+  const auto report =
+      check_feasible(ls, all, prm, embed_slot_power(ls, all, res));
+  EXPECT_TRUE(report.feasible);
+  // The returned loads are the vector's exact loads.
+  ASSERT_EQ(res.log2_load.size(), all.size());
+  double max_load = 0.0;
+  for (const double lg : res.log2_load) {
+    max_load = std::max(max_load, std::exp2(lg));
+  }
+  EXPECT_NEAR(max_load, report.max_load, 1e-9 * report.max_load);
 }
 
 TEST(PowerControl, NoiseRequiresFiniteMargin) {
