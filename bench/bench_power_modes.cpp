@@ -38,18 +38,17 @@ void print_table() {
     const auto pt = mst::pairing_tree(pts, 0);
     const auto level =
         core::level_schedule(pt, workload::mode_config(core::PowerMode::kGlobal));
-    // Conflict-graph-free baseline: first-fit-decreasing against the exact
-    // power-control oracle on the MST links. Every trial re-solves the slot
-    // spectral radius, so this is quadratic-ish in slot size — capped to the
-    // moderate instances (that is the point of the conflict graphs: local
-    // decisions instead of global re-solves).
+    // Conflict-graph-free baseline: first-fit-decreasing over the
+    // power-control slot ledger on the MST links. Every ledger miss
+    // re-solves the slot spectral radius, so this is quadratic-ish in slot
+    // size — capped to the moderate instances (that is the point of the
+    // conflict graphs: local decisions instead of global re-solves).
     std::string ffd_slots = "-";
     if (pts.size() <= 640) {
       const auto tree = mst::mst_tree(pts, 0);
-      const auto ffd = schedule::ffd_schedule(
-          tree.links,
-          schedule::power_control_oracle(
-              tree.links, workload::mode_config(core::PowerMode::kGlobal).sinr));
+      auto ledger = core::ledger_for_mode(
+          tree.links, workload::mode_config(core::PowerMode::kGlobal));
+      const auto ffd = schedule::ffd_schedule(tree.links, ledger);
       ffd_slots = std::to_string(ffd.length());
     }
     t.row()

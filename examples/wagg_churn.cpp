@@ -128,8 +128,8 @@ int main(int argc, char** argv) {
     };
 
     // --powers: ship per-slot power vectors every epoch, the way a serving
-    // deployment would. Slots the slot ledger certified ship the vector that
-    // certified them; only uncovered slots are solved afresh.
+    // deployment would. Each slot ships the vector that certified it in
+    // repair; only slots a failed epoch left uncovered are settled afresh.
     const bool powers =
         args.has("powers") &&
         options.config.power_mode == core::PowerMode::kGlobal;

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "schedule/repair.h"
+
 namespace wagg::core {
 
 LevelScheduleResult level_schedule(const mst::PairingTree& tree,
@@ -13,48 +15,33 @@ LevelScheduleResult level_schedule(const mst::PairingTree& tree,
   }
   LevelScheduleResult result;
   result.num_levels = tree.num_levels;
-  result.verified = true;
 
-  // Partition link indices by level, then schedule each level's sub-linkset
-  // with the full pipeline (conflict graph + coloring + repair).
+  // Each matching level is one input slot for repair, which packs it with
+  // the mode's slot ledger (levels need no conflict graph: first fit with
+  // exact decisions is affordable at their size).
   std::vector<std::vector<std::size_t>> by_level(
       static_cast<std::size_t>(tree.num_levels));
   for (std::size_t i = 0; i < links.size(); ++i) {
     by_level.at(static_cast<std::size_t>(tree.level_of_link[i])).push_back(i);
   }
-  const auto oracle = oracle_for_mode(links, config);
-  for (const auto& level_links : by_level) {
+  auto ledger = ledger_for_mode(links, config);
+  for (auto& level_links : by_level) {
     if (level_links.empty()) {
       result.slots_per_level.push_back(0);
       continue;
     }
-    // Greedy pack the level's links against the exact oracle (levels are
-    // small enough that first-fit with exact checks is affordable, and it
-    // needs no sub-linkset index remapping).
-    std::vector<std::vector<std::size_t>> slots;
-    std::vector<std::size_t> trial;
-    for (std::size_t link : level_links) {
-      bool placed = false;
-      for (auto& slot : slots) {
-        trial = slot;
-        trial.push_back(link);
-        if (oracle(trial)) {
-          slot.push_back(link);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        trial = {link};
-        if (!oracle(trial)) {
-          result.verified = false;
-        }
-        slots.push_back(std::move(trial));
-      }
+    schedule::Schedule level;
+    level.slots.push_back(std::move(level_links));
+    auto repaired = schedule::repair_schedule(links, level, ledger);
+    result.slots_per_level.push_back(repaired.schedule.length());
+    for (auto& slot : repaired.schedule.slots) {
+      result.schedule.slots.push_back(std::move(slot));
     }
-    result.slots_per_level.push_back(slots.size());
-    for (auto& slot : slots) result.schedule.slots.push_back(std::move(slot));
   }
+  result.verified =
+      schedule::verify_schedule(links, result.schedule,
+                                oracle_for_mode(links, config))
+          .ok();
   return result;
 }
 

@@ -88,6 +88,15 @@ schedule::FeasibilityOracle oracle_for_mode(const geom::LinkView& links,
                                       power_for_mode(links, config));
 }
 
+schedule::SlotLedger ledger_for_mode(const geom::LinkView& links,
+                                     const PlannerConfig& config) {
+  if (config.power_mode == PowerMode::kGlobal) {
+    return schedule::SlotLedger(links, config.sinr);
+  }
+  return schedule::SlotLedger(links, config.sinr,
+                              power_for_mode(links, config));
+}
+
 LinkScheduleResult schedule_links(const geom::LinkView& links,
                                   const PlannerConfig& config,
                                   StageTimings* timings, const WarmStart* warm,
@@ -126,23 +135,17 @@ LinkScheduleResult schedule_links(const geom::LinkView& links,
   result.colors_before_repair = result.schedule.length();
   if (timings) timings->coloring_ms = ms_since(stage_start);
 
-  const auto oracle = oracle_for_mode(links, config);
-  if (config.repair) {
-    stage_start = Clock::now();
-    // Fixed-power modes use the incremental packer (same output contract,
-    // orders of magnitude faster on large slots).
-    auto repaired =
-        config.power_mode == PowerMode::kGlobal
-            ? schedule::repair_schedule(links, result.schedule, oracle)
-            : schedule::repair_schedule_fixed_power(
-                  links, result.schedule, config.sinr, result.power);
-    result.schedule = std::move(repaired.schedule);
-    result.slots_split = repaired.slots_split;
-    if (timings) timings->repair_ms = ms_since(stage_start);
-  }
   stage_start = Clock::now();
-  result.verification = schedule::verify_schedule(links, result.schedule,
-                                                  oracle);
+  auto ledger = ledger_for_mode(links, config);
+  auto repaired = schedule::repair_schedule(links, result.schedule, ledger);
+  result.schedule = std::move(repaired.schedule);
+  result.certificates = std::move(repaired.certificates);
+  result.slots_split = repaired.slots_split;
+  if (timings) timings->repair_ms = ms_since(stage_start);
+
+  stage_start = Clock::now();
+  result.verification = schedule::verify_schedule(
+      links, result.schedule, oracle_for_mode(links, config));
   if (timings) timings->verify_ms = ms_since(stage_start);
   return result;
 }
@@ -169,23 +172,19 @@ PlanResult plan_aggregation(const geom::Pointset& points,
 
   if (config.power_mode == PowerMode::kGlobal) {
     const auto power_start = Clock::now();
-    // Materialize the per-slot global power vectors (the actual output of
-    // the power-control algorithm) and stitch a per-link assignment from
-    // each link's home slot for reporting.
-    std::vector<double> stitched(result.tree.links.size(), 0.0);
-    result.slot_powers.reserve(result.scheduling.schedule.length());
-    for (const auto& slot : result.scheduling.schedule.slots) {
-      const auto pc = sinr::power_control_feasible(result.tree.links, slot,
-                                                   config.sinr);
-      sinr::PowerAssignment slot_power =
-          pc.feasible ? sinr::embed_slot_power(result.tree.links, slot, pc)
-                      : sinr::PowerAssignment(
-                            std::vector<double>(result.tree.links.size(), 0.0),
-                            "infeasible-slot");
-      for (std::size_t a = 0; a < slot.size() && pc.feasible; ++a) {
-        stitched[slot[a]] = pc.log2_power[a];
+    // Ship the per-slot power vectors repair certified (the output of the
+    // power-control algorithm) and stitch a per-link assignment from each
+    // link's home slot for reporting.
+    const std::size_t n = result.tree.links.size();
+    std::vector<double> stitched(n, 0.0);
+    result.slot_powers.reserve(result.scheduling.certificates.size());
+    for (const auto& cert : result.scheduling.certificates) {
+      std::vector<double> lp(n, 0.0);
+      for (std::size_t a = 0; a < cert.members.size(); ++a) {
+        lp[cert.members[a]] = cert.log2_power[a];
+        stitched[cert.members[a]] = cert.log2_power[a];
       }
-      result.slot_powers.push_back(std::move(slot_power));
+      result.slot_powers.emplace_back(std::move(lp), "power-control");
     }
     result.scheduling.power =
         sinr::PowerAssignment(std::move(stitched), "global(stitched)");

@@ -9,7 +9,7 @@
 #include "geom/linkset.h"
 #include "geom/point.h"
 #include "mst/tree.h"
-#include "schedule/repair.h"
+#include "schedule/ledger.h"
 #include "schedule/schedule.h"
 #include "schedule/verify.h"
 #include "sinr/model.h"
@@ -54,9 +54,6 @@ struct PlannerConfig {
   /// Exponent of the power-law conflict graph used for kOblivious; must
   /// exceed max(tau, 1-tau) for pairwise affectance to decay.
   double delta = 0.75;
-  /// Split any slot failing the exact SINR check (strongly recommended; the
-  /// theory's "large enough" constants are not exact for any finite gamma).
-  bool repair = true;
   /// Use the bucket-grid conflict-graph builder.
   bool bucketed_conflict = true;
   /// Node index that collects the aggregate.
@@ -67,15 +64,15 @@ struct PlannerConfig {
 
 /// Wall-clock breakdown of one planning run, in milliseconds. Filled by
 /// plan_aggregation / schedule_links when the caller passes a non-null
-/// pointer; stages a run does not execute (e.g. repair when disabled, power
-/// for fixed-power modes) stay 0.
+/// pointer; stages a run does not execute (power for fixed-power modes)
+/// stay 0.
 struct StageTimings {
   double tree_ms = 0.0;      ///< spanning-structure construction
   double conflict_ms = 0.0;  ///< conflict-graph build
   double coloring_ms = 0.0;  ///< greedy coloring
   double repair_ms = 0.0;    ///< exact-SINR slot repair
   double verify_ms = 0.0;    ///< full-schedule verification
-  double power_ms = 0.0;     ///< per-slot global power materialization
+  double power_ms = 0.0;     ///< embedding repair's per-slot global powers
 
   [[nodiscard]] double total_ms() const noexcept {
     return tree_ms + conflict_ms + coloring_ms + repair_ms + verify_ms +
@@ -87,10 +84,13 @@ struct StageTimings {
 struct LinkScheduleResult {
   conflict::ConflictSpec spec;
   schedule::Schedule schedule;
+  /// Aligned with schedule.slots: the ledger powers and load bounds that
+  /// certified each slot in repair (kGlobal: the slot's power vector).
+  std::vector<schedule::LedgerSlot> certificates;
   schedule::VerificationReport verification;
   /// Colors used by the conflict-graph coloring before repair.
   std::size_t colors_before_repair = 0;
-  /// Slots the repair pass had to split (0 when repair disabled or clean).
+  /// Slots the repair pass had to split (0 when the coloring was clean).
   std::size_t slots_split = 0;
   /// The fixed power assignment (uniform/linear/oblivious); for kGlobal this
   /// holds per-link powers stitched from each link's home slot.
@@ -108,6 +108,12 @@ struct LinkScheduleResult {
 /// The feasibility oracle matching the configured power mode.
 [[nodiscard]] schedule::FeasibilityOracle oracle_for_mode(
     const geom::LinkView& links, const PlannerConfig& config);
+
+/// The slot ledger matching the configured power mode — carried powers for
+/// kGlobal, pinned to power_for_mode otherwise. Every repair decision goes
+/// through it. `links` must outlive the ledger.
+[[nodiscard]] schedule::SlotLedger ledger_for_mode(const geom::LinkView& links,
+                                                   const PlannerConfig& config);
 
 /// The fixed power assignment for the configured mode (identity powers for
 /// kGlobal, whose per-slot powers are computed later).
@@ -142,7 +148,8 @@ struct WarmStart {
 struct PlanResult {
   mst::AggregationTree tree;
   LinkScheduleResult scheduling;
-  /// For kGlobal: log2 power vector per slot (aligned with schedule slots).
+  /// For kGlobal: log2 power vector per slot (aligned with schedule slots),
+  /// the one that certified the slot in repair.
   std::vector<sinr::PowerAssignment> slot_powers;
 
   [[nodiscard]] const schedule::Schedule& schedule() const {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -590,15 +591,11 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     report.touched_slots = scheduled.schedule.length();
     report.valid = scheduled.verification.ok();
     final_schedule = std::move(scheduled.schedule);
-    // From-scratch slots come with no ledger: their powers are unknown
-    // until slot_powers() or a later patch seeds them.
-    for (const auto& slot : final_schedule.slots) {
-      for (const auto i : slot) {
-        ledger_load_[static_cast<std::size_t>(links.id_of(i))] =
-            kUnknownLoad;
-      }
+    // Repair certified every slot: its powers and bounds seed the ledger.
+    for (const auto& cert : scheduled.certificates) {
+      record_certificate(links, cert);
+      next_exact.push_back(cert.exact);
     }
-    next_exact.assign(final_schedule.slots.size(), 0);
   } else {
     // ---- localized path ----
     // Conflict adjacency is needed only for the dirty links: the relation
@@ -654,11 +651,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     stage_span.next("repair");
     stage_start = Clock::now();
     const bool carried = config.power_mode == core::PowerMode::kGlobal;
-    const sinr::PowerAssignment pinned =
-        carried ? sinr::PowerAssignment{} : core::power_for_mode(links, config);
-    schedule::SlotLedger ledger =
-        carried ? schedule::SlotLedger(links, config.sinr)
-                : schedule::SlotLedger(links, config.sinr, pinned);
+    auto ledger = core::ledger_for_mode(links, config);
     std::vector<std::vector<std::size_t>> classes(
         static_cast<std::size_t>(recolored.num_colors));
     for (std::size_t i = 0; i < n; ++i) {
@@ -703,11 +696,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
       report.certificate_misses += patch.certificates.misses;
       report.touched_slots += patch.sub_slots.size();
       for (auto& sub : patch.sub_slots) {
-        for (std::size_t a = 0; a < sub.members.size(); ++a) {
-          const auto id = static_cast<std::size_t>(links.id_of(sub.members[a]));
-          ledger_power_[id] = sub.log2_power[a];
-          ledger_load_[id] = sub.load[a];
-        }
+        record_certificate(links, sub);
         next_exact.push_back(sub.exact);
         final_schedule.slots.push_back(std::move(sub.members));
       }
@@ -741,6 +730,15 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   current_.rate = report.rate;
 }
 
+void DynamicPlanner::record_certificate(const geom::LinkView& links,
+                                        const schedule::LedgerSlot& slot) {
+  for (std::size_t a = 0; a < slot.members.size(); ++a) {
+    const auto id = static_cast<std::size_t>(links.id_of(slot.members[a]));
+    ledger_power_[id] = slot.log2_power[a];
+    ledger_load_[id] = slot.load[a];
+  }
+}
+
 bool DynamicPlanner::carried_powers(std::size_t s,
                                     std::vector<double>& dense) const {
   const auto& links = current_.links;
@@ -767,6 +765,7 @@ const std::vector<sinr::PowerAssignment>& DynamicPlanner::slot_powers() {
   slot_powers_.clear();
   slot_powers_.reserve(current_.schedule.slots.size());
   std::vector<double> dense;
+  std::optional<schedule::SlotLedger> ledger;
   for (std::size_t s = 0; s < current_.schedule.slots.size(); ++s) {
     if (carried_powers(s, dense)) {
       ++report_.power_slots_cached;
@@ -774,23 +773,21 @@ const std::vector<sinr::PowerAssignment>& DynamicPlanner::slot_powers() {
       slot_powers_.emplace_back(std::move(dense), "power-control");
       continue;
     }
-    // No ledger covers the slot: solve it afresh and seed its ledger.
-    const auto& slot = current_.schedule.slots[s];
-    const auto pc =
-        sinr::power_control_feasible(links, slot, options_.config.sinr);
+    // A failed epoch dropped the slot's ledger entry: settle the slot
+    // afresh, which re-seeds the entry.
     ++report_.power_slots_computed;
     planner_metrics().power_misses.add();
-    if (!pc.feasible) {
+    if (!ledger) ledger.emplace(links, options_.config.sinr);
+    auto slot = ledger->unknown(current_.schedule.slots[s]);
+    schedule::CertificateCounts counts;
+    if (!ledger->settle(slot, counts)) {
       slot_powers_.emplace_back(std::vector<double>(links.size(), 0.0),
                                 "infeasible-slot");
       continue;
     }
-    for (std::size_t a = 0; a < slot.size(); ++a) {
-      const auto id = static_cast<std::size_t>(links.id_of(slot[a]));
-      ledger_power_[id] = pc.log2_power[a];
-      ledger_load_[id] = std::exp2(pc.log2_load[a]);
-    }
-    slot_powers_.push_back(sinr::embed_slot_power(links, slot, pc));
+    record_certificate(links, slot);
+    (void)carried_powers(s, dense);
+    slot_powers_.emplace_back(std::move(dense), "power-control");
   }
 
   slot_powers_current_ = true;

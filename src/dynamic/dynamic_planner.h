@@ -12,6 +12,7 @@
 #include "geom/linkset.h"
 #include "geom/point.h"
 #include "mst/incremental.h"
+#include "schedule/ledger.h"
 #include "schedule/schedule.h"
 #include "sinr/power.h"
 
@@ -90,9 +91,8 @@ struct EpochReport {
   std::size_t certificate_misses = 0;
 
   /// slot_powers() bookkeeping: slots whose powers were served from the
-  /// slot ledger (the vector that certified the slot) vs slots that needed
-  /// a fresh power_control_feasible solve (no ledger covered them: after
-  /// construction, a full replan or a failed epoch).
+  /// slot ledger (the vector that certified the slot in repair) vs slots
+  /// settled afresh because a failed epoch dropped their ledger entry.
   std::size_t power_slots_cached = 0;
   std::size_t power_slots_computed = 0;
 
@@ -243,11 +243,11 @@ class DynamicPlanner : private geom::LinkStoreListener {
   [[nodiscard]] const Snapshot& snapshot() const noexcept { return current_; }
 
   /// kGlobal only: the per-slot power vectors of the current schedule
-  /// (aligned with snapshot().schedule.slots), materialized on demand. A
-  /// slot the slot ledger covers ships the vector that certified it in
-  /// repair (an embedding, no solve); only uncovered slots — after
-  /// construction, a full replan or a failed epoch — run
-  /// power_control_feasible, which then seeds their ledger. The cost and
+  /// (aligned with snapshot().schedule.slots), materialized on demand. Each
+  /// slot ships the vector that certified it in repair — localized or full
+  /// — from the slot ledger (an embedding, no solve). Only a failed epoch
+  /// leaves slots uncovered; those are settled afresh through
+  /// SlotLedger::settle, which re-seeds their ledger. The cost and
   /// counts land in last_report().timings.power_ms / power_slots_cached /
   /// power_slots_computed. Throws std::logic_error for fixed-power modes
   /// (their assignment is sinr::*_power, not per-slot).
@@ -291,6 +291,10 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// Drops all carried plan state (slot seeds, slot ledger) and forces the
   /// next epoch through reconcile_full + full replan.
   void invalidate_carried_state();
+  /// Stores a certified slot's powers and bounds (dense indices of
+  /// `links`) in the id-keyed ledger.
+  void record_certificate(const geom::LinkView& links,
+                          const schedule::LedgerSlot& slot);
   /// Writes slot `s`'s carried ledger powers into `dense` (indexed like the
   /// current snapshot's links); false when the ledger does not cover it.
   [[nodiscard]] bool carried_powers(std::size_t s,
@@ -336,7 +340,8 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// certificate; fixed-power modes: the pinned assignment).
   std::vector<double> ledger_power_;
   /// Each link's load bound in its final slot; +inf when the slot's powers
-  /// are unknown (full replans leave every slot so until it is re-seeded).
+  /// are unknown (a failed epoch leaves every slot so until it is
+  /// re-seeded).
   std::vector<double> ledger_load_;
   /// Per previous final slot: its bounds are exact (no departure since
   /// they were computed) — a pinned ledger's rejection is then final.

@@ -1,7 +1,9 @@
 #ifndef WAGG_GEOM_LINK_VIEW_H
 #define WAGG_GEOM_LINK_VIEW_H
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -81,6 +83,17 @@ class LinkView {
   [[nodiscard]] double squared_sinr_distance(std::size_t j,
                                              std::size_t i) const {
     return squared_distance(sender_pos(j), receiver_pos(i));
+  }
+  /// log2 d_ji as 0.5 * log2(d_ji^2), with no square root, while the square
+  /// is a finite positive double; past that (coordinates beyond ~1e154,
+  /// where the square overflows) through sinr_distance's overflow-safe
+  /// hypot. -inf when the two nodes coincide.
+  [[nodiscard]] double log2_sinr_distance(std::size_t j, std::size_t i) const {
+    const double d2 = squared_sinr_distance(j, i);
+    if (d2 > 0.0 && d2 <= std::numeric_limits<double>::max()) {
+      return 0.5 * std::log2(d2);
+    }
+    return std::log2(sinr_distance(j, i));
   }
 
   /// d(i, j): minimum distance between the nodes of links i and j

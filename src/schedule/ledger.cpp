@@ -24,7 +24,7 @@ SlotLedger::SlotLedger(const geom::LinkView& links,
                        sinr::PowerControlOptions options)
     : links_(links),
       params_(params),
-      power_(power),
+      pinned_(power != nullptr),
       options_(options),
       bound_(bound),
       log2_beta_(std::log2(params.beta)) {
@@ -32,7 +32,10 @@ SlotLedger::SlotLedger(const geom::LinkView& links,
   log2_len_.reserve(links.size());
   for (std::size_t i = 0; i < links.size(); ++i) {
     log2_len_.push_back(std::log2(links.length(i)));
-    if (pinned()) pinned_noise_.push_back(noise_load(i, power->log2_power(i)));
+    if (pinned()) {
+      pinned_power_.push_back(power->log2_power(i));
+      pinned_noise_.push_back(noise_load(i, pinned_power_.back()));
+    }
   }
 }
 
@@ -62,11 +65,6 @@ double SlotLedger::noise_load(std::size_t i, double x_i) const noexcept {
   return lg >= 100.0 ? 1e30 : std::exp2(lg);
 }
 
-double SlotLedger::log2_distance(std::size_t j, std::size_t i) const noexcept {
-  const double d = links_.sinr_distance(j, i);
-  return d <= 0.0 ? -kInf : std::log2(d);
-}
-
 LedgerSlot SlotLedger::unknown(std::span<const std::size_t> members) const {
   LedgerSlot slot;
   for (const std::size_t i : members) append(slot, i);
@@ -92,7 +90,7 @@ bool SlotLedger::probe(const LedgerSlot& slot, std::size_t j,
   // A shared node (or a sender on j's receiver) can never share a slot.
   bool blocked = false;
   if (pinned()) {
-    probe_power_ = power_->log2_power(j);
+    probe_power_ = pinned_power_[j];
   } else {
     // The power that puts j's own load at kInsertLoad given the members'
     // carried powers: x_j = log2(sum_k M_jk 2^x_k + beta N l_j^alpha)
@@ -100,7 +98,7 @@ bool SlotLedger::probe(const LedgerSlot& slot, std::size_t j,
     // j's receiver) before any column term.
     for (std::size_t a = 0; a < m; ++a) {
       const std::size_t k = slot.members[a];
-      probe_log2_d_[a] = log2_distance(k, j);
+      probe_log2_d_[a] = links_.log2_sinr_distance(k, j);
       probe_row_[a] = log2_beta_ + slot.log2_power[a] +
                       params_.alpha * (log2_len_[j] - probe_log2_d_[a]);
       blocked = blocked || links_.shares_node(j, k) ||
@@ -125,10 +123,10 @@ bool SlotLedger::probe(const LedgerSlot& slot, std::size_t j,
     const std::size_t i = slot.members[a];
     if (pinned()) {
       blocked = blocked || links_.shares_node(j, i);
-      probe_log2_d_[a] = log2_distance(i, j);
+      probe_log2_d_[a] = links_.log2_sinr_distance(i, j);
     }
-    probe_gain_[a] =
-        term(probe_power_, slot.log2_power[a], i, log2_distance(j, i));
+    probe_gain_[a] = term(probe_power_, slot.log2_power[a], i,
+                          links_.log2_sinr_distance(j, i));
     probe_load_ +=
         term(slot.log2_power[a], probe_power_, j, probe_log2_d_[a]);
     fits = !blocked && fits && slot.load[a] + probe_gain_[a] <= bound_ &&
@@ -155,7 +153,7 @@ bool SlotLedger::insert(LedgerSlot& slot, std::size_t link) {
 
 void SlotLedger::append(LedgerSlot& slot, std::size_t link) const {
   slot.members.push_back(link);
-  slot.log2_power.push_back(pinned() ? power_->log2_power(link) : 0.0);
+  slot.log2_power.push_back(pinned() ? pinned_power_[link] : 0.0);
   slot.load.push_back(kInf);
 }
 
@@ -172,11 +170,28 @@ void SlotLedger::reseed(LedgerSlot& slot) const {
       const std::size_t k = slot.members[b];
       blocked = blocked || links_.shares_node(k, i);
       r += term(slot.log2_power[b], slot.log2_power[a], i,
-                log2_distance(k, i));
+                links_.log2_sinr_distance(k, i));
     }
     slot.load[a] = blocked ? kInf : r;
   }
   slot.exact = true;
+}
+
+bool SlotLedger::rebuild(LedgerSlot& slot) {
+  // Re-adding the members in member order accumulates exactly reseed's
+  // sums, and loads only grow under insertion, so the first overload
+  // rejects the whole slot.
+  LedgerSlot fresh;
+  fresh.exact = true;
+  fresh.members.reserve(slot.members.size());
+  fresh.log2_power.reserve(slot.members.size());
+  fresh.load.reserve(slot.members.size());
+  for (const std::size_t link : slot.members) {
+    if (!probe(fresh, link, true)) return false;
+    commit(fresh, link);
+  }
+  slot = std::move(fresh);
+  return true;
 }
 
 void SlotLedger::seed(LedgerSlot& slot,
@@ -194,10 +209,7 @@ bool SlotLedger::settle(LedgerSlot& slot, CertificateCounts& counts) {
     return certifies(slot);
   }
   ++counts.misses;
-  if (pinned()) {
-    reseed(slot);
-    return certifies(slot);
-  }
+  if (pinned()) return rebuild(slot);
   const auto result =
       sinr::power_control_feasible(links_, slot.members, params_, options_);
   if (!result.feasible) return false;

@@ -59,8 +59,8 @@ struct CertificateCounts {
 /// Holds probe work buffers: one instance per thread.
 class SlotLedger {
  public:
-  /// Pinned rule: powers fixed to `power` (indexed like `links`). `links`
-  /// and `power` must outlive the ledger.
+  /// Pinned rule: powers fixed to `power` (indexed like `links`, copied).
+  /// `links` must outlive the ledger.
   SlotLedger(const geom::LinkView& links, const sinr::SinrParams& params,
              const sinr::PowerAssignment& power, double tolerance = 1e-9);
   /// Carried rule: arbitrary power control. `links` must outlive the
@@ -97,8 +97,10 @@ class SlotLedger {
 
   /// Decides whether the slot as it stands is feasible: a hit when the
   /// bounds certify it (or, pinned, exactly reject it), else the exact
-  /// decision. On acceptance the slot holds powers and bounds that certify
-  /// the verdict; a rejected slot may have been re-seeded.
+  /// decision — pinned, the members re-added in order, stopping at the
+  /// first overload. On acceptance the slot holds powers and bounds that
+  /// certify the verdict (pinned: its exact loads); a rejected slot is left
+  /// as it was.
   [[nodiscard]] bool settle(LedgerSlot& slot, CertificateCounts& counts);
   /// Decides whether `link` may join `sub`, adding it on acceptance; `sub`
   /// itself must be feasible. Same hit/miss rule as settle.
@@ -112,6 +114,9 @@ class SlotLedger {
   SlotLedger(const geom::LinkView& links, const sinr::SinrParams& params,
              const sinr::PowerAssignment* power, double bound,
              sinr::PowerControlOptions options);
+  /// Pinned exact decision: rebuilds the slot's loads by insertion in
+  /// member order, false at the first overload (slot untouched).
+  bool rebuild(LedgerSlot& slot);
   /// Replaces the slot's x and bounds with a feasible power-control result
   /// computed on exactly `slot.members` (in that order).
   static void seed(LedgerSlot& slot, const sinr::PowerControlResult& result);
@@ -120,7 +125,7 @@ class SlotLedger {
   /// With stop_early the probe ends at the first overload (and must not be
   /// committed).
   bool probe(const LedgerSlot& slot, std::size_t link, bool stop_early);
-  [[nodiscard]] bool pinned() const noexcept { return power_ != nullptr; }
+  [[nodiscard]] bool pinned() const noexcept { return pinned_; }
   void commit(LedgerSlot& slot, std::size_t link) const;
   /// beta * 2^(x_j - x_i) * (l_i / d_ji)^alpha given log2 d_ji,
   /// saturating instead of overflowing.
@@ -128,16 +133,15 @@ class SlotLedger {
                             double log2_d) const noexcept;
   /// beta * N * l_i^alpha / 2^x_i.
   [[nodiscard]] double noise_load(std::size_t i, double x_i) const noexcept;
-  [[nodiscard]] double log2_distance(std::size_t j,
-                                     std::size_t i) const noexcept;
 
   const geom::LinkView& links_;
   sinr::SinrParams params_;
-  const sinr::PowerAssignment* power_ = nullptr;
+  bool pinned_ = false;
   sinr::PowerControlOptions options_;
   double bound_ = 1.0;
   double log2_beta_ = 0.0;
   std::vector<double> log2_len_;
+  std::vector<double> pinned_power_;  ///< pinned rule: each link's log2 power
   std::vector<double> pinned_noise_;  ///< pinned rule: each link's noise load
   // ---- probe buffers ----
   double probe_power_ = 0.0;

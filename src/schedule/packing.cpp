@@ -1,40 +1,20 @@
 #include "schedule/packing.h"
 
+#include <numeric>
+
 #include "schedule/repair.h"
 
 namespace wagg::schedule {
 
-namespace {
-
-Schedule everything_in_one_slot(const geom::LinkView& links) {
+Schedule ffd_schedule(const geom::LinkView& links, SlotLedger& ledger) {
+  if (links.empty()) return Schedule{};
+  // Repairing the one-slot schedule IS first-fit-decreasing: repair packs
+  // the slot longest first.
   Schedule all;
-  all.slots.emplace_back();
-  all.slots.front().reserve(links.size());
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    all.slots.front().push_back(i);
-  }
-  return all;
-}
-
-}  // namespace
-
-Schedule ffd_schedule(const geom::LinkView& links,
-                      const FeasibilityOracle& oracle) {
-  if (links.empty()) return Schedule{};
-  // Repairing the one-slot schedule IS first-fit-decreasing: repair sorts
-  // the slot by non-increasing length and first-fit packs it.
-  return repair_schedule(links, everything_in_one_slot(links), oracle)
-      .schedule;
-}
-
-Schedule ffd_schedule_fixed_power(const geom::LinkView& links,
-                                  const sinr::SinrParams& params,
-                                  const sinr::PowerAssignment& power,
-                                  double tolerance) {
-  if (links.empty()) return Schedule{};
-  return repair_schedule_fixed_power(links, everything_in_one_slot(links),
-                                     params, power, tolerance)
-      .schedule;
+  all.slots.emplace_back(links.size());
+  std::iota(all.slots.front().begin(), all.slots.front().end(),
+            std::size_t{0});
+  return repair_schedule(links, all, ledger).schedule;
 }
 
 }  // namespace wagg::schedule

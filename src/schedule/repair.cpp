@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sinr/feasibility.h"
-
 namespace wagg::schedule {
 
 std::vector<std::size_t> pack_order(const geom::LinkView& links,
@@ -21,44 +19,24 @@ std::vector<std::size_t> pack_order(const geom::LinkView& links,
 }
 
 RepairResult repair_schedule(const geom::LinkView& links,
-                             const Schedule& schedule,
-                             const FeasibilityOracle& oracle) {
+                             const Schedule& schedule, SlotLedger& ledger) {
+  if (&ledger.links() != &links) {
+    throw std::invalid_argument(
+        "repair_schedule: the ledger is over a different link set");
+  }
   RepairResult result;
   result.length_before = schedule.length();
   for (const auto& slot : schedule.slots) {
-    if (oracle(slot)) {
-      result.schedule.slots.push_back(slot);
+    if (slot.empty()) {
+      result.schedule.slots.emplace_back();
+      result.certificates.emplace_back();
       continue;
     }
-    ++result.slots_split;
-    // Re-pack first-fit in non-increasing length order (longest links are
-    // the hardest to place; packing them first keeps sub-slot counts low).
-    const auto ordered = pack_order(links, slot);
-    std::vector<std::vector<std::size_t>> sub_slots;
-    std::vector<std::size_t> trial;
-    for (std::size_t link : ordered) {
-      bool placed = false;
-      for (auto& sub : sub_slots) {
-        trial = sub;
-        trial.push_back(link);
-        if (oracle(trial)) {
-          sub.push_back(link);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        trial = {link};
-        if (!oracle(trial)) {
-          throw std::runtime_error(
-              "repair_schedule: singleton slot infeasible; instance is not "
-              "interference-limited under this oracle");
-        }
-        sub_slots.push_back(std::move(trial));
-      }
-    }
-    for (auto& sub : sub_slots) {
-      result.schedule.slots.push_back(std::move(sub));
+    auto patch = patch_slot(ledger, ledger.unknown(slot), {}, false);
+    if (patch.sub_slots.size() > 1) ++result.slots_split;
+    for (auto& sub : patch.sub_slots) {
+      result.schedule.slots.push_back(sub.members);
+      result.certificates.push_back(std::move(sub));
     }
   }
   result.length_after = result.schedule.length();
@@ -70,7 +48,7 @@ PatchResult patch_slot(SlotLedger& ledger, LedgerSlot kept,
                        bool kept_certified) {
   PatchResult result;
   bool has_kept = !kept.members.empty();
-  // Longest-first, matching repair_schedule's packing order.
+  // Longest-first: the canonical packing order.
   std::vector<std::size_t> ordered = pack_order(ledger.links(), loose);
 
   // Optimistic fast path: at low churn the whole class usually still fits
@@ -129,49 +107,6 @@ PatchResult patch_slot(SlotLedger& ledger, LedgerSlot kept,
       ++result.slots_opened;
     }
   }
-  return result;
-}
-
-RepairResult repair_schedule_fixed_power(const geom::LinkView& links,
-                                         const Schedule& schedule,
-                                         const sinr::SinrParams& params,
-                                         const sinr::PowerAssignment& power,
-                                         double tolerance) {
-  params.validate();
-  RepairResult result;
-  result.length_before = schedule.length();
-  SlotLedger ledger(links, params, power, tolerance);
-  CertificateCounts counts;  // exact pinned bounds: every decision is a hit
-  std::vector<LedgerSlot> subs;
-  for (const auto& slot : schedule.slots) {
-    if (sinr::is_feasible(links, slot, params, power, tolerance)) {
-      result.schedule.slots.push_back(slot);
-      continue;
-    }
-    ++result.slots_split;
-    subs.clear();
-    for (const std::size_t link : pack_order(links, slot)) {
-      bool placed = false;
-      for (auto& sub : subs) {
-        if (ledger.admit(sub, link, counts)) {
-          placed = true;
-          break;
-        }
-      }
-      if (placed) continue;
-      // A link no sub-slot admits: its own noise load is its whole load.
-      subs.push_back(ledger.open(link));
-      if (!ledger.certifies(subs.back())) {
-        throw std::runtime_error(
-            "repair_schedule_fixed_power: singleton slot infeasible; "
-            "instance is not interference-limited under this power");
-      }
-    }
-    for (auto& sub : subs) {
-      result.schedule.slots.push_back(std::move(sub.members));
-    }
-  }
-  result.length_after = result.schedule.length();
   return result;
 }
 

@@ -4,13 +4,15 @@
 #include "geom/linkset.h"
 #include "schedule/ledger.h"
 #include "schedule/schedule.h"
-#include "schedule/verify.h"
 
 namespace wagg::schedule {
 
 /// Outcome of the feasibility-repair pass.
 struct RepairResult {
   Schedule schedule;
+  /// Aligned with schedule.slots: the ledger powers and load bounds that
+  /// certified each output slot (an empty slot's is empty).
+  std::vector<LedgerSlot> certificates;
   /// Number of input slots that had to be split.
   std::size_t slots_split = 0;
   /// Schedule length before / after.
@@ -18,10 +20,12 @@ struct RepairResult {
   std::size_t length_after = 0;
 };
 
-/// Makes a schedule exactly SINR-feasible: every slot that fails the oracle
-/// is re-packed first-fit (links in non-increasing length order, each link
-/// joins the first sub-slot that remains feasible with it, else opens a new
-/// sub-slot).
+/// Makes a schedule exactly SINR-feasible under the ledger's power rule:
+/// each non-empty slot is patch_slot(ledger, ledger.unknown(slot), {},
+/// false) — one decision on the whole slot in its input order, and when
+/// that rejects, first fit in pack_order (each link joins the first
+/// sub-slot that admits it, else opens a new one). Empty slots pass
+/// through.
 ///
 /// Why this exists: the paper's guarantees hold for "large enough" conflict
 /// graph constants gamma; for any concrete gamma a color class can violate
@@ -29,16 +33,17 @@ struct RepairResult {
 /// output passes the oracle — at the cost of a bounded length increase that
 /// the benchmarks measure (E3/E9 "repair" columns).
 ///
-/// Precondition: every singleton {link} must satisfy the oracle (true for
-/// all oracles in this library on interference-limited instances); otherwise
-/// std::runtime_error is thrown.
+/// Precondition: every singleton {link} must be feasible (true under power
+/// control, and for fixed powers on interference-limited instances);
+/// otherwise std::runtime_error is thrown. `ledger` must be over `links`
+/// (std::invalid_argument otherwise).
 [[nodiscard]] RepairResult repair_schedule(const geom::LinkView& links,
                                            const Schedule& schedule,
-                                           const FeasibilityOracle& oracle);
+                                           SlotLedger& ledger);
 
 /// The canonical repair packing order: members sorted longest link first,
-/// ties by link index. Shared by repair_schedule, patch_slot, and the
-/// dynamic planner so the packing order cannot drift between them.
+/// ties by link index. Shared by patch_slot and the dynamic planner so the
+/// packing order cannot drift between them.
 [[nodiscard]] std::vector<std::size_t> pack_order(
     const geom::LinkView& links, std::span<const std::size_t> members);
 
@@ -55,12 +60,12 @@ struct PatchResult {
   std::size_t slots_opened = 0;
 };
 
-/// Patch-level repair: the incremental counterpart of repair_schedule for
-/// ONE slot whose membership changed. `kept` holds the slot's surviving
-/// links with their ledger powers and load bounds (ledger.unknown(...) when
-/// none are known); `loose` are the changed/new links, first-fit inserted
-/// longest first into the first sub-slot that admits them, else opening a
-/// new sub-slot. Every decision goes through the ledger: an O(|sub-slot|)
+/// Patch-level repair of ONE slot whose membership changed, and the only
+/// first-fit packer: repair_schedule and the dynamic planner both call it.
+/// `kept` holds the slot's surviving links with their ledger powers and
+/// load bounds (ledger.unknown(...) when none are known); `loose` are the
+/// changed/new links, first-fit inserted longest first into the first
+/// sub-slot that admits them, else opening a new sub-slot. Every decision goes through the ledger: an O(|sub-slot|)
 /// certificate when the bounds suffice, the exact decision otherwise.
 ///
 /// Policy: an optimistic fast path first tries the whole class (kept +
@@ -69,21 +74,10 @@ struct PatchResult {
 /// demoted into the loose set if rejected — before any insertion trusts it.
 ///
 /// Preconditions: kept/loose are disjoint and duplicate-free; every
-/// singleton must be feasible (std::runtime_error otherwise, as in
-/// repair_schedule).
+/// singleton must be feasible (std::runtime_error otherwise).
 [[nodiscard]] PatchResult patch_slot(SlotLedger& ledger, LedgerSlot kept,
                                      std::span<const std::size_t> loose,
                                      bool kept_certified = true);
-
-/// Same contract as repair_schedule, specialized for a fixed power
-/// assignment: sub-slots are pinned-power ledgers, so each placement attempt
-/// costs O(|sub-slot|) instead of O(|sub-slot|^2). Large uniform-power
-/// instances repair orders of magnitude faster; output slots pass the exact
-/// fixed-power check with the same tolerance.
-[[nodiscard]] RepairResult repair_schedule_fixed_power(
-    const geom::LinkView& links, const Schedule& schedule,
-    const sinr::SinrParams& params, const sinr::PowerAssignment& power,
-    double tolerance = 1e-9);
 
 }  // namespace wagg::schedule
 

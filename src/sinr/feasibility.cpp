@@ -87,8 +87,8 @@ FeasibilityReport check_feasible(const geom::LinkView& links,
   report.max_load = 0.0;
   // Hoisted per-link columns: log2 length and log2 power are re-read for
   // every pair in the inner loop, so computing them once per link removes
-  // two transcendentals per matrix entry. Distances enter as
-  // 0.5 * log2(d^2), saving the square root.
+  // two transcendentals per matrix entry. Distances enter through
+  // LinkView::log2_sinr_distance, saving the square root.
   std::vector<double> log2_len(set.size());
   std::vector<double> log2_pow(set.size());
   for (std::size_t a = 0; a < set.size(); ++a) {
@@ -102,11 +102,11 @@ FeasibilityReport check_feasible(const geom::LinkView& links,
     const double alpha_log2_len = params.alpha * log2_len[a];
     for (std::size_t b = 0; b < set.size(); ++b) {
       if (b == a) continue;
-      const double d2 = links.squared_sinr_distance(set[b], set[a]);
-      terms.push_back(d2 <= 0.0
+      const double log2_d = links.log2_sinr_distance(set[b], set[a]);
+      terms.push_back(log2_d == -kInf
                           ? kInf
                           : log2_pow[b] - log2_pow[a] + alpha_log2_len -
-                                params.alpha * 0.5 * std::log2(d2));
+                                params.alpha * log2_d);
     }
     terms.push_back(log2_noise_term(links, params, power, set[a]));
     const double load = safe_exp2(log2_beta + log2_sum_exp2(terms));
@@ -166,11 +166,9 @@ std::vector<double> log2_gain_matrix(const geom::LinkView& links,
     const double row_const = log2_beta + params.alpha * log2_len;
     for (std::size_t b = 0; b < k; ++b) {
       if (a == b) continue;
-      // 0.5 * log2(d^2) == log2(d): the square root never materializes.
-      const double d2 = links.squared_sinr_distance(set[b], set[a]);
-      m[a * k + b] = d2 <= 0.0
-                         ? kInf
-                         : row_const - params.alpha * 0.5 * std::log2(d2);
+      const double log2_d = links.log2_sinr_distance(set[b], set[a]);
+      m[a * k + b] =
+          log2_d == -kInf ? kInf : row_const - params.alpha * log2_d;
     }
   }
   return m;
@@ -195,16 +193,15 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
     return result;
   }
   const std::size_t k = set.size();
-  if (k == 1) {
-    result.feasible = true;
-    result.spectral_radius = 0.0;
-    result.log2_power = {0.0};
-    result.log2_load = {log2_own_noise(links, params, set[0])};
-    return result;
-  }
   const auto m = log2_gain_matrix(links, set, params);
 
-  if (k == 2) {
+  if (k == 1) {
+    // No interference: any power works noise-free; with noise the
+    // certification below raises it above the noise floor.
+    result.feasible = true;
+    result.log2_power = {0.0};
+    result.log2_load = {-kInf};
+  } else if (k == 2) {
     // Exact: rho([[0,a],[b,0]]) = sqrt(a*b), computed in log2 space.
     const double a = m[1];  // effect of link 2's power on link 1
     const double b = m[2];  // effect of link 1's power on link 2
@@ -346,6 +343,7 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
 
   // Certify with an explicit power vector. With noise, run the
   // Foschini–Miljanic fixed-point update in log2 space first.
+  const PowerControlResult noise_free = result;
   PowerAssignment slot_power = embed_slot_power(links, set, result);
   if (params.noise > 0.0) {
     std::vector<double> lp(k);
@@ -368,8 +366,28 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
     result.log2_load = log2_loads(links, set, params, m, lp);
     slot_power = embed_slot_power(links, set, result);
   }
-  const auto report = check_feasible(links, set, params, slot_power, 1e-7);
-  result.feasible = report.feasible;
+  result.feasible =
+      check_feasible(links, set, params, slot_power, 1e-7).feasible;
+  if (!result.feasible) {
+    // The update contracts at rate ~rho per sweep, so near rho = 1 the
+    // budget ends short of the fixed point. The noise-free vector still
+    // certifies the set: its loads are at most r < 1, and scaled up until
+    // noise adds at most (1 - r) / 2 to any load it stays valid.
+    double log2_r = -kInf;
+    double log2_scale = -kInf;
+    for (std::size_t a = 0; a < k; ++a) {
+      log2_r = std::max(log2_r, noise_free.log2_load[a]);
+      log2_scale = std::max(log2_scale, log2_own_noise(links, params, set[a]) -
+                                            noise_free.log2_power[a]);
+    }
+    log2_scale -= std::log2(0.5 * (1.0 - safe_exp2(log2_r)));
+    result.log2_power = noise_free.log2_power;
+    for (double& p : result.log2_power) p += log2_scale;
+    result.log2_load = log2_loads(links, set, params, m, result.log2_power);
+    slot_power = embed_slot_power(links, set, result);
+    result.feasible =
+        check_feasible(links, set, params, slot_power, 1e-7).feasible;
+  }
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include "core/planner.h"
 #include "instance/basic.h"
 #include "schedule/simulator.h"
+#include "sinr/feasibility.h"
 
 namespace wagg::core {
 namespace {
@@ -78,27 +79,35 @@ INSTANTIATE_TEST_SUITE_P(Modes, PlanAllModes,
                                            PowerMode::kGlobal));
 
 TEST(Plan, GlobalModeStoresSlotPowers) {
+  // Each slot ships the power vector repair certified it with, and that
+  // vector satisfies the exact SINR inequalities on its slot.
   const auto pts = instance::uniform_square(50, 6.0, 7);
-  const auto plan = plan_aggregation(pts, config_for(PowerMode::kGlobal));
-  EXPECT_EQ(plan.slot_powers.size(), plan.schedule().length());
-  for (const auto& p : plan.slot_powers) {
-    EXPECT_EQ(p.size(), plan.tree.links.size());
+  for (const double noise : {0.0, 1e-6}) {
+    auto cfg = config_for(PowerMode::kGlobal);
+    cfg.sinr.noise = noise;
+    const auto plan = plan_aggregation(pts, cfg);
+    ASSERT_EQ(plan.slot_powers.size(), plan.schedule().length());
+    for (std::size_t s = 0; s < plan.slot_powers.size(); ++s) {
+      const auto& p = plan.slot_powers[s];
+      EXPECT_EQ(p.size(), plan.tree.links.size());
+      EXPECT_TRUE(sinr::is_feasible(plan.tree.links, plan.schedule().slots[s],
+                                    cfg.sinr, p, 1e-6))
+          << "noise " << noise << " slot " << s;
+    }
   }
 }
 
-TEST(Plan, RepairOffCanLeaveInfeasibleSlots) {
-  // With a tiny gamma and no repair, verification should fail at least
-  // sometimes; with repair it must always pass. (Deterministic instance.)
+TEST(Plan, RepairSplitsAnUndersizedGammaColoring) {
+  // gamma = 0.05 is far below any valid constant, so the coloring alone
+  // leaves infeasible slots; repair splits them and the plan verifies.
+  // (Deterministic instance.)
   auto cfg = config_for(PowerMode::kUniform);
   cfg.gamma = 0.05;
-  cfg.repair = false;
   const auto pts = instance::uniform_square(60, 3.0, 11);
   const auto plan = plan_aggregation(pts, cfg);
-  cfg.repair = true;
-  const auto repaired = plan_aggregation(pts, cfg);
-  EXPECT_TRUE(repaired.verified());
-  EXPECT_GE(repaired.schedule().length(), plan.schedule().length());
-  EXPECT_FALSE(plan.verified());  // gamma=0.05 is far below any valid constant
+  EXPECT_TRUE(plan.verified());
+  EXPECT_GT(plan.scheduling.slots_split, 0u);
+  EXPECT_GE(plan.schedule().length(), plan.scheduling.colors_before_repair);
 }
 
 TEST(Plan, ColoringOrderAblation) {

@@ -525,9 +525,9 @@ TEST(DynamicPlanner, SlotLedgerCertificatesAreSound) {
                                         oracle)
                   .ok())
               << where;
-          if (report.epoch > 0 && !report.full_replan) {
-            EXPECT_EQ(report.power_slots_computed, 0u) << where;
-          }
+          // Construction, full replans and localized epochs alike seed
+          // the ledger from repair's certificates.
+          EXPECT_EQ(report.power_slots_computed, 0u) << where;
           EXPECT_EQ(report.certificate_hits + report.certificate_misses,
                     report.oracle_calls)
               << where;

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "core/kconnect.h"
+#include "first_fit_reference.h"
 #include "core/planner.h"
 #include "geom/point.h"
 #include "instance/basic.h"
@@ -35,22 +36,30 @@ TEST(Packing, FfdProducesVerifiedPartition) {
   const auto tree = mst::mst_tree(pts, 0);
   const auto prm = params(3.0, 2.0);
   const auto power = sinr::uniform_power(tree.links, prm);
-  const auto s = schedule::ffd_schedule_fixed_power(tree.links, prm, power);
+  schedule::SlotLedger ledger(tree.links, prm, power);
+  const auto s = schedule::ffd_schedule(tree.links, ledger);
   EXPECT_TRUE(schedule::is_partition(s, tree.links.size()));
   const auto oracle = schedule::fixed_power_oracle(tree.links, prm, power);
   EXPECT_TRUE(schedule::verify_schedule(tree.links, s, oracle).ok());
 }
 
-TEST(Packing, FfdGenericMatchesFixedPowerLengths) {
+TEST(Packing, FfdMatchesOracleFirstFit) {
   const auto pts = instance::uniform_square(60, 8.0, 5);
   const auto tree = mst::mst_tree(pts, 0);
   const auto prm = params(3.0, 2.0);
   const auto power = sinr::uniform_power(tree.links, prm);
   const auto oracle = schedule::fixed_power_oracle(tree.links, prm, power);
-  const auto generic = schedule::ffd_schedule(tree.links, oracle);
-  const auto fast = schedule::ffd_schedule_fixed_power(tree.links, prm, power);
-  EXPECT_EQ(generic.length(), fast.length());
-  EXPECT_EQ(generic.slots, fast.slots);
+  schedule::Schedule one;
+  one.slots.emplace_back();
+  for (std::size_t i = 0; i < tree.links.size(); ++i) {
+    one.slots[0].push_back(i);
+  }
+  const auto reference =
+      schedule::testing::oracle_first_fit(tree.links, one, oracle);
+  schedule::SlotLedger ledger(tree.links, prm, power);
+  const auto ffd = schedule::ffd_schedule(tree.links, ledger);
+  EXPECT_EQ(ffd.length(), reference.length());
+  EXPECT_EQ(ffd.slots, reference.slots);
 }
 
 TEST(Packing, FfdWithPowerControlBeatsUniform) {
@@ -59,10 +68,11 @@ TEST(Packing, FfdWithPowerControlBeatsUniform) {
   const auto pts = instance::exponential_chain(32, 2.0);
   const auto tree = mst::mst_tree(pts, 0);
   const auto prm = params(3.0, 1.0);
-  const auto uni = schedule::ffd_schedule_fixed_power(
-      tree.links, prm, sinr::uniform_power(tree.links, prm));
-  const auto pc = schedule::ffd_schedule(
-      tree.links, schedule::power_control_oracle(tree.links, prm));
+  schedule::SlotLedger pinned(tree.links, prm,
+                             sinr::uniform_power(tree.links, prm));
+  schedule::SlotLedger carried(tree.links, prm);
+  const auto uni = schedule::ffd_schedule(tree.links, pinned);
+  const auto pc = schedule::ffd_schedule(tree.links, carried);
   EXPECT_LT(pc.length() * 2, uni.length());
   EXPECT_TRUE(schedule::is_partition(pc, tree.links.size()));
 }
@@ -70,11 +80,8 @@ TEST(Packing, FfdWithPowerControlBeatsUniform) {
 TEST(Packing, EmptyLinkSet) {
   geom::Pointset pts{{0, 0}, {1, 0}};
   const geom::LinkSet empty(pts, {});
-  const auto prm = params();
-  EXPECT_TRUE(
-      schedule::ffd_schedule_fixed_power(empty, prm,
-                                         sinr::uniform_power(empty, prm))
-          .empty());
+  schedule::SlotLedger ledger(empty, params());
+  EXPECT_TRUE(schedule::ffd_schedule(empty, ledger).empty());
 }
 
 // --- latency-aware ordering --------------------------------------------------

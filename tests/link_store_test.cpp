@@ -227,9 +227,10 @@ TEST(DynamicPlanner, SlotPowersAreValidAndCacheCarriedSlots) {
     }
   };
   verify_powers();
-  // Construction plans from scratch: no slot ledger covers its slots yet,
-  // so every slot is solved fresh (and seeds its ledger).
-  EXPECT_EQ(planner.last_report().power_slots_computed,
+  // Construction plans from scratch, and repair's certificates seed the
+  // ledger: every slot ships its certified vector without a solve.
+  EXPECT_EQ(planner.last_report().power_slots_computed, 0u);
+  EXPECT_EQ(planner.last_report().power_slots_cached,
             planner.last_report().slots);
 
   for (const auto& epoch : trace) {
@@ -238,11 +239,9 @@ TEST(DynamicPlanner, SlotPowersAreValidAndCacheCarriedSlots) {
     const auto& report = planner.last_report();
     EXPECT_EQ(report.power_slots_cached + report.power_slots_computed,
               report.slots);
-    // A localized epoch certified every slot it kept or patched through
-    // the ledger; its powers ship with no fresh solve at all.
-    if (!report.full_replan) {
-      EXPECT_EQ(report.power_slots_computed, 0u) << "epoch " << report.epoch;
-    }
+    // Localized or full, every epoch certified each slot through the
+    // ledger; its powers ship with no fresh solve at all.
+    EXPECT_EQ(report.power_slots_computed, 0u) << "epoch " << report.epoch;
   }
 
   // Repeated materialization within an epoch is free (memoized).

@@ -17,6 +17,7 @@
 #include "mst/mst.h"
 #include "mst/tree.h"
 #include "schedule/latency.h"
+#include "schedule/repair.h"
 #include "schedule/simulator.h"
 #include "sinr/feasibility.h"
 #include "sinr/interference.h"
@@ -302,9 +303,9 @@ TEST(PipelineInvariants, RepairIdempotent) {
   const auto plan = core::plan_aggregation(pts, cfg);
   ASSERT_TRUE(plan.verified());
   // Repairing an already-repaired schedule is a no-op.
-  const auto power = core::power_for_mode(plan.tree.links, cfg);
-  const auto again = schedule::repair_schedule_fixed_power(
-      plan.tree.links, plan.schedule(), cfg.sinr, power);
+  auto ledger = core::ledger_for_mode(plan.tree.links, cfg);
+  const auto again =
+      schedule::repair_schedule(plan.tree.links, plan.schedule(), ledger);
   EXPECT_EQ(again.slots_split, 0u);
   EXPECT_EQ(again.schedule.slots, plan.schedule().slots);
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "first_fit_reference.h"
 #include "geom/linkset.h"
 #include "instance/basic.h"
 #include "instance/special.h"
@@ -110,11 +111,12 @@ TEST(Verify, PowerControlOracleAcceptsPairsUniformCannot) {
 TEST(Repair, SplitsInfeasibleSlotIntoFeasibleOnes) {
   const auto links = chain_links(6);
   const auto prm = params(3.0, 2.0);
-  const auto oracle =
-      fixed_power_oracle(links, prm, sinr::uniform_power(links, prm));
+  const auto power = sinr::uniform_power(links, prm);
+  const auto oracle = fixed_power_oracle(links, prm, power);
+  SlotLedger ledger(links, prm, power);
   Schedule everything;
   everything.slots = {{0, 1, 2, 3, 4}};
-  const auto repaired = repair_schedule(links, everything, oracle);
+  const auto repaired = repair_schedule(links, everything, ledger);
   EXPECT_EQ(repaired.slots_split, 1u);
   EXPECT_EQ(repaired.length_before, 1u);
   EXPECT_GT(repaired.length_after, 1u);
@@ -126,11 +128,10 @@ TEST(Repair, SplitsInfeasibleSlotIntoFeasibleOnes) {
 TEST(Repair, LeavesFeasibleSlotsUntouched) {
   const auto links = chain_links(4);
   const auto prm = params(3.0, 2.0);
-  const auto oracle =
-      fixed_power_oracle(links, prm, sinr::uniform_power(links, prm));
+  SlotLedger ledger(links, prm, sinr::uniform_power(links, prm));
   Schedule fine;
   fine.slots = {{0}, {1}, {2}};
-  const auto repaired = repair_schedule(links, fine, oracle);
+  const auto repaired = repair_schedule(links, fine, ledger);
   EXPECT_EQ(repaired.slots_split, 0u);
   EXPECT_EQ(repaired.schedule.slots, fine.slots);
 }
@@ -139,11 +140,10 @@ TEST(Repair, PreservesMultiplicity) {
   // Multicolor schedules keep their per-link multiplicities through repair.
   const auto links = chain_links(4);
   const auto prm = params(3.0, 2.0);
-  const auto oracle =
-      fixed_power_oracle(links, prm, sinr::uniform_power(links, prm));
+  SlotLedger ledger(links, prm, sinr::uniform_power(links, prm));
   Schedule multi;
   multi.slots = {{0, 1, 2}, {0}};
-  const auto repaired = repair_schedule(links, multi, oracle);
+  const auto repaired = repair_schedule(links, multi, ledger);
   std::vector<int> count(3, 0);
   for (const auto& slot : repaired.schedule.slots) {
     for (auto l : slot) ++count[l];
@@ -177,36 +177,34 @@ TEST(Repair, EmptySlotSurvivesUnchanged) {
   // split it.
   const auto links = chain_links(4);
   const auto prm = params(3.0, 2.0);
-  const auto oracle =
-      fixed_power_oracle(links, prm, sinr::uniform_power(links, prm));
+  SlotLedger pinned(links, prm, sinr::uniform_power(links, prm));
+  SlotLedger carried(links, prm);
   Schedule with_empty;
   with_empty.slots = {{0}, {}, {1}, {2}};
-  const auto repaired = repair_schedule(links, with_empty, oracle);
-  EXPECT_EQ(repaired.slots_split, 0u);
-  EXPECT_EQ(repaired.schedule.slots, with_empty.slots);
-
-  const auto fixed = repair_schedule_fixed_power(
-      links, with_empty, prm, sinr::uniform_power(links, prm));
-  EXPECT_EQ(fixed.slots_split, 0u);
-  EXPECT_EQ(fixed.schedule.slots, with_empty.slots);
+  for (SlotLedger* ledger : {&pinned, &carried}) {
+    const auto repaired = repair_schedule(links, with_empty, *ledger);
+    EXPECT_EQ(repaired.slots_split, 0u);
+    EXPECT_EQ(repaired.schedule.slots, with_empty.slots);
+    ASSERT_EQ(repaired.certificates.size(), with_empty.slots.size());
+    EXPECT_TRUE(repaired.certificates[1].members.empty());
+  }
 }
 
 TEST(Repair, SingleLinkSlotsAreFixedPoints) {
   // Singletons are feasible on interference-limited instances, so a
-  // schedule of singletons round-trips exactly through both repair paths.
+  // schedule of singletons round-trips exactly under both ledger rules.
   const auto links = chain_links(5);
   const auto prm = params(3.0, 2.0);
-  const auto power = sinr::uniform_power(links, prm);
-  const auto oracle = fixed_power_oracle(links, prm, power);
+  SlotLedger pinned(links, prm, sinr::uniform_power(links, prm));
+  SlotLedger carried(links, prm);
   Schedule singletons;
   for (std::size_t i = 0; i < links.size(); ++i) singletons.slots.push_back({i});
-  const auto repaired = repair_schedule(links, singletons, oracle);
-  EXPECT_EQ(repaired.slots_split, 0u);
-  EXPECT_EQ(repaired.length_after, links.size());
-  EXPECT_EQ(repaired.schedule.slots, singletons.slots);
-  const auto fixed =
-      repair_schedule_fixed_power(links, singletons, prm, power);
-  EXPECT_EQ(fixed.schedule.slots, singletons.slots);
+  for (SlotLedger* ledger : {&pinned, &carried}) {
+    const auto repaired = repair_schedule(links, singletons, *ledger);
+    EXPECT_EQ(repaired.slots_split, 0u);
+    EXPECT_EQ(repaired.length_after, links.size());
+    EXPECT_EQ(repaired.schedule.slots, singletons.slots);
+  }
 }
 
 TEST(Repair, AllPairwiseInfeasibleSlotExplodesIntoSingletons) {
@@ -228,17 +226,25 @@ TEST(Repair, AllPairwiseInfeasibleSlotExplodesIntoSingletons) {
   }
   Schedule hopeless;
   hopeless.slots = {{0, 1, 2}};
-  const auto repaired = repair_schedule(links, hopeless, oracle);
+  SlotLedger ledger(links, prm, power);
+  const auto repaired = repair_schedule(links, hopeless, ledger);
   EXPECT_EQ(repaired.slots_split, 1u);
   EXPECT_EQ(repaired.length_after, 3u);
   for (const auto& slot : repaired.schedule.slots) {
     EXPECT_EQ(slot.size(), 1u);
   }
   EXPECT_TRUE(verify_schedule(links, repaired.schedule, oracle).ok());
+}
 
-  // The fixed-power fast path agrees.
-  const auto fixed = repair_schedule_fixed_power(links, hopeless, prm, power);
-  EXPECT_EQ(fixed.length_after, 3u);
+TEST(Repair, RejectsLedgerOverAnotherLinkSet) {
+  const auto links = chain_links(4);
+  const auto other = chain_links(4);
+  const auto prm = params(3.0, 2.0);
+  SlotLedger ledger(other, prm);
+  Schedule one;
+  one.slots = {{0, 1, 2}};
+  EXPECT_THROW((void)repair_schedule(links, one, ledger),
+               std::invalid_argument);
 }
 
 /// A kept slot whose exact loads are known (a previously accepted slot).
@@ -469,23 +475,93 @@ TEST(SlotLedger, ColdSeedLoadsMatchExactLoads) {
   }
 }
 
-TEST(SlotLedger, FixedPowerRepairMatchesOracleFirstFit) {
-  // The pinned ledger is the exact fixed-power check maintained
-  // incrementally: it packs exactly like first-fit over fixed_power_oracle.
+TEST(SlotLedger, PinnedSettleStopsAtFirstOverloadExactly) {
+  // The pinned exact decision rebuilds the loads member by member and
+  // stops at the first overload. Loads only grow under insertion, so its
+  // rejection is final: every verdict equals a full recompute's, an
+  // accepted slot carries the recomputed loads, a rejected one is left as
+  // it was.
+  const auto tree = mst::mst_tree(instance::uniform_square(120, 10.0, 4), 0);
+  const auto& links = tree.links;
+  for (const double noise : {0.0, 1e-6}) {
+    auto prm = params(3.0, 1.0);
+    prm.noise = noise;
+    const auto power = sinr::linear_power(links, prm);
+    SlotLedger ledger(links, prm, power);
+    util::Rng rng(23);
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<std::size_t> members;
+      const auto size = 2 + rng.below(12);
+      for (std::size_t k = 0; k < size; ++k) {
+        const auto link = rng.below(links.size());
+        bool fresh = true;
+        for (const auto m : members) fresh = fresh && m != link;
+        if (fresh) members.push_back(link);
+      }
+      LedgerSlot full = ledger.unknown(members);
+      ledger.reseed(full);
+      LedgerSlot slot = ledger.unknown(members);
+      const LedgerSlot before = slot;
+      CertificateCounts counts;
+      const bool verdict = ledger.settle(slot, counts);
+      EXPECT_EQ(counts.misses, 1u);
+      ASSERT_EQ(verdict, ledger.certifies(full)) << "trial " << trial;
+      ASSERT_EQ(verdict, sinr::is_feasible(links, members, prm, power));
+      if (verdict) {
+        ++accepted;
+        EXPECT_TRUE(slot.exact);
+        ASSERT_EQ(slot.members, members);
+        for (std::size_t a = 0; a < members.size(); ++a) {
+          EXPECT_NEAR(slot.load[a], full.load[a], 1e-12 * full.load[a]);
+        }
+      } else {
+        ++rejected;
+        EXPECT_EQ(slot.members, before.members);
+        EXPECT_EQ(slot.exact, before.exact);
+      }
+    }
+    EXPECT_GT(accepted, 0u) << "noise " << noise;
+    EXPECT_GT(rejected, 0u) << "noise " << noise;
+  }
+}
+
+TEST(Repair, MatchesOracleFirstFitInEveryMode) {
+  // repair_schedule is first fit over the slot ledger; on MST instances it
+  // packs slot for slot like first fit over the mode's exact oracle, under
+  // both rules (pinned: uniform, linear, oblivious; carried: power
+  // control), with and without noise.
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const auto tree =
-        mst::mst_tree(instance::uniform_square(150, 10.0, seed), 0);
+        mst::mst_tree(instance::uniform_square(120, 10.0, seed), 0);
     const auto& links = tree.links;
-    const auto prm = params(3.0, 1.0);
-    for (const auto& power :
-         {sinr::uniform_power(links, prm), sinr::linear_power(links, prm)}) {
-      Schedule one;
-      one.slots.emplace_back();
-      for (std::size_t i = 0; i < links.size(); ++i) one.slots[0].push_back(i);
-      const auto fast = repair_schedule_fixed_power(links, one, prm, power);
-      const auto slow = repair_schedule(
-          links, one, fixed_power_oracle(links, prm, power));
-      EXPECT_EQ(fast.schedule.slots, slow.schedule.slots) << "seed " << seed;
+    // One slot of everything (first-fit decreasing) and a 3-slot split.
+    Schedule input;
+    input.slots.assign(4, {});
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      input.slots[0].push_back(i);
+      input.slots[1 + i % 3].push_back(i);
+    }
+    for (const double noise : {0.0, 1e-9}) {
+      auto prm = params(3.0, 1.0);
+      prm.noise = noise;
+      for (const auto& power :
+           {sinr::uniform_power(links, prm), sinr::linear_power(links, prm),
+            sinr::oblivious_power(links, 0.5, prm)}) {
+        SlotLedger ledger(links, prm, power);
+        EXPECT_EQ(repair_schedule(links, input, ledger).schedule.slots,
+                  testing::oracle_first_fit(
+                      links, input, fixed_power_oracle(links, prm, power))
+                      .slots)
+            << "seed " << seed << " noise " << noise << " " << power.description();
+      }
+      SlotLedger ledger(links, prm);
+      EXPECT_EQ(repair_schedule(links, input, ledger).schedule.slots,
+                testing::oracle_first_fit(links, input,
+                                          power_control_oracle(links, prm))
+                    .slots)
+          << "seed " << seed << " noise " << noise << " power control";
     }
   }
 }

@@ -312,6 +312,72 @@ TEST(PowerControl, EmptyAndSingleton) {
   EXPECT_DOUBLE_EQ(res.spectral_radius, 0.0);
 }
 
+TEST(PowerControl, NoisySingletonShipsACertifiedVector) {
+  // A lone link of length 2000 at noise 1e-9 has load 8 at log2 power 0:
+  // the returned vector must clear the noise floor, and its reported load
+  // must be the real one.
+  const geom::Pointset pts{{0, 0}, {2000, 0}};
+  const geom::LinkSet ls(pts, {geom::Link{0, 1}});
+  const auto prm = params(3.0, 1.0, 1e-9);
+  const std::vector<std::size_t> solo{0};
+  const auto res = power_control_feasible(ls, solo, prm);
+  ASSERT_TRUE(res.feasible);
+  ASSERT_EQ(res.log2_power.size(), 1u);
+  ASSERT_EQ(res.log2_load.size(), 1u);
+  const auto embedded = embed_slot_power(ls, solo, res);
+  const auto report = check_feasible(ls, solo, prm, embedded);
+  EXPECT_TRUE(report.feasible);
+  EXPECT_LT(res.log2_load[0], 0.0);
+  EXPECT_NEAR(std::exp2(res.log2_load[0]), report.max_load, 1e-12);
+}
+
+TEST(PowerControl, NearCriticalNoisySetIsCertified) {
+  // A 25-link slot of an MST with spectral radius ~0.9997: the noise
+  // certification's Foschini–Miljanic update ends far from its fixed point
+  // within the sweep budget, yet the set is feasible — the noise-free
+  // certificate vector, scaled above the noise floor, proves it.
+  const auto tree = mst::mst_tree(instance::uniform_square(120, 10.0, 1), 0);
+  const std::vector<std::size_t> slot{118, 78,  30, 103, 4,  100, 66,
+                                      91,  21,  101, 80, 55, 6,   111,
+                                      83,  18,  64, 28,  39, 112, 70,
+                                      31,  96,  14, 47};
+  const auto quiet =
+      power_control_feasible(tree.links, slot, params(3.0, 1.0, 0.0));
+  ASSERT_TRUE(quiet.feasible);
+  ASSERT_GT(quiet.spectral_radius, 0.999);
+  const auto prm = params(3.0, 1.0, 1e-9);
+  const auto res = power_control_feasible(tree.links, slot, prm);
+  ASSERT_TRUE(res.feasible);
+  EXPECT_TRUE(is_feasible(tree.links, slot, prm,
+                          embed_slot_power(tree.links, slot, res), 1e-7));
+}
+
+TEST(Feasibility, LoadsAreScaleInvariantPastSquareOverflow) {
+  // Noise-free loads depend only on distance ratios. At scale 1e200 every
+  // squared distance overflows a double; the loads must still match the
+  // unit-scale instance, under fixed powers and under power control.
+  const auto at_scale = [](double scale) {
+    const geom::Pointset pts{{0, 0}, {scale, 0}, {3 * scale, 0},
+                             {2 * scale, 0}};
+    return geom::LinkSet(pts, {geom::Link{0, 1}, geom::Link{2, 3}});
+  };
+  const auto unit = at_scale(1.0);
+  const auto huge = at_scale(1e200);
+  const auto prm = params(3.0, 1.0);
+  const std::vector<std::size_t> both{0, 1};
+  const auto small_report =
+      check_feasible(unit, both, prm, uniform_power(unit, prm));
+  const auto huge_report =
+      check_feasible(huge, both, prm, uniform_power(huge, prm));
+  EXPECT_GT(small_report.max_load, 0.1);
+  EXPECT_NEAR(huge_report.max_load, small_report.max_load,
+              1e-9 * small_report.max_load);
+  EXPECT_NEAR(power_control_feasible(huge, both, prm).spectral_radius,
+              power_control_feasible(unit, both, prm).spectral_radius, 1e-9);
+  EXPECT_NEAR(huge.log2_sinr_distance(0, 1),
+              std::log2(huge.sinr_distance(0, 1)), 1e-12);
+}
+
 TEST(Interference, OperatorBasics) {
   geom::Pointset pts{{0, 0}, {1, 0}, {4, 0}, {6, 0}};
   const geom::LinkSet ls(pts, {geom::Link{0, 1}, geom::Link{2, 3}});

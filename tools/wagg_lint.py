@@ -39,6 +39,14 @@ Rules (see README "Correctness tooling" for the catalogue and rationale):
                 allowed exception (mst/point_grid.h borrows the cell_key
                 mixer only) carries an allow comment.
 
+  cold-solve    Calls to power_control_feasible( are allowed only in
+                src/sinr/, src/schedule/ledger.cpp and
+                src/schedule/verify.cpp: deciding a slot and choosing its
+                powers is one decision, made by the slot ledger (which falls
+                back to the cold solve on a miss) or by the verifier. Any
+                other caller re-solves a slot repair already certified —
+                take the certificate's powers instead.
+
 Suppression: a line (or the line directly above it) containing
 ``wagg-lint: allow(<rule>)`` suppresses that rule on that line. Every allow
 should carry a short justification after the closing parenthesis.
@@ -197,6 +205,9 @@ CLASS_GRID_RE = re.compile(r"\bClassGrid\b")
 # the include path. Anchored so a mention in a comment cannot trip it.
 CLASS_GRID_INCLUDE_RE = re.compile(
     r'^\s*#\s*include\s*["<](?:[^">]*/)?class_grid\.h[">]')
+COLD_SOLVE_RE = re.compile(r"\bpower_control_feasible\s*\(")
+COLD_SOLVE_ALLOWED = ("src/sinr/", "src/schedule/ledger.cpp",
+                      "src/schedule/verify.cpp")
 
 
 def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
@@ -213,6 +224,7 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
     is_mutex_header = relpath.endswith("util/mutex.h")
     in_conflict = (relpath.startswith("src/conflict/") or
                    relpath.startswith("conflict/"))
+    may_cold_solve = relpath.startswith(COLD_SOLVE_ALLOWED)
 
     for idx, line in enumerate(code_lines, start=1):
         if not in_obs:
@@ -248,11 +260,17 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
                        "including conflict/class_grid.h outside "
                        "src/conflict/: query through ConflictIndex or "
                        "conflict_neighbors_bucketed")
+        if not may_cold_solve and COLD_SOLVE_RE.search(line):
+            report(idx, "cold-solve",
+                   "power_control_feasible outside src/sinr/, "
+                   "schedule/ledger.cpp and schedule/verify.cpp: take the "
+                   "powers the slot ledger certified (SlotLedger::settle "
+                   "for a slot it does not cover)")
     return findings
 
 
 ALL_RULES = {"stats-struct", "wall-clock", "naked-new", "raw-sync",
-             "class-grid"}
+             "class-grid", "cold-solve"}
 
 
 def lint_tree(root: Path) -> list[Finding]:
