@@ -14,9 +14,15 @@
 // The matrix: static batch families, churn sessions at n x rate (including
 // grow:/shrink: size-varying schedules), and a PlanService session-
 // throughput row. Per churn scenario the suite also runs one untimed
-// profiled repeat and checks the span profiler's structural identity —
-// per-stage exclusive self-times must sum to the root epoch spans within
-// 1% — so a trajectory point ships with trustworthy attribution tables.
+// profiled repeat and checks the per-stage identity: each stage's exclusive
+// span ms/epoch must equal the mean EpochTimings field it bills within 1%
+// (2 us floor) — the span tree and the timing fields read one stage clock,
+// so a mismatch means a stage is billed outside its span.
+//
+// Every run also gates the 1%-churn scenarios: zero full-replan fallbacks,
+// conflict_share <= 0.45, mst_share <= 0.9, epoch_share (mean epoch over
+// the session's construction epoch) <= 1/1.4, and a tracing-disabled
+// overhead of at most 2% of the epoch. A failed gate exits nonzero.
 //
 // --compare exits nonzero when any gated metric regressed beyond its
 // noise tolerance (median +/- MAD-derived band, direction-aware; see
@@ -63,7 +69,21 @@ inline void do_not_optimize(const T& value) {
   asm volatile("" : : "g"(&value) : "memory");
 }
 
-constexpr double kProfileIdentityTolerance = 0.01;  ///< excl-sum vs roots
+/// Per-stage identity: span ms/epoch vs the EpochTimings field it bills.
+constexpr double kStageIdentityTolerance = 0.01;
+constexpr double kStageIdentityFloorMs = 0.002;
+// 1%-churn gates. With the diff-maintained row cache the conflict layer
+// runs at ~0.2x the from-scratch rebuild baseline; losing the cache puts it
+// back at ~0.5-0.75x, reinstating the O(n) rebuild at >= 1.5x, so 0.45 fails
+// both with ~2x headroom. The dynamic-tree engine runs at a small fraction
+// of a from-scratch Prim, while a per-mutation O(n) engine sits above 0.9.
+constexpr double kMaxConflictShare = 0.45;
+constexpr double kMaxMstShare = 0.9;
+/// An incremental epoch must beat the session's construction epoch (a
+/// full plan of the same instance) by at least 1.4x.
+constexpr double kMaxEpochShare = 1.0 / 1.4;
+/// Disabled tracing may cost at most this fraction of an epoch.
+constexpr double kMaxTraceOverhead = 0.02;
 
 struct SuiteOptions {
   std::size_t repeats = 5;
@@ -85,6 +105,11 @@ struct ChurnSpec {
   double shrink = 0.0;
   std::size_t epochs = 8;
 
+  /// The steady low-churn shape the share and fallback gates apply to.
+  [[nodiscard]] bool gated() const {
+    return rate == 0.01 && grow == 0.0 && shrink == 0.0;
+  }
+
   [[nodiscard]] std::string name() const {
     std::ostringstream out;
     out << "churn/" << family << "/n" << n;
@@ -99,14 +124,31 @@ struct ChurnSpec {
   }
 };
 
+/// One reported EpochTimings stage and the spans that bill it: its own
+/// stage span, plus the core::schedule_links spans a full-replan epoch
+/// folds into it.
+struct StageField {
+  const char* name;
+  double dynamic::EpochTimings::*ms;
+  std::vector<std::string> spans;
+};
+
+const std::vector<StageField>& stage_fields() {
+  using T = dynamic::EpochTimings;
+  static const std::vector<StageField> fields = {
+      {"mst_update", &T::mst_update_ms, {"mst_update"}},
+      {"orient", &T::orient_ms, {"orient"}},
+      {"conflict_maintain", &T::conflict_maintain_ms, {"conflict_maintain"}},
+      {"conflict_query", &T::conflict_query_ms, {"conflict_query", "conflict"}},
+      {"recolor", &T::recolor_ms, {"recolor", "coloring"}},
+      {"repair", &T::repair_ms, {"repair", "verify"}},
+  };
+  return fields;
+}
+
 struct ChurnRepeat {
   double epoch_ms = 0.0;
-  double mst_update_ms = 0.0;
-  double orient_ms = 0.0;
-  double conflict_maintain_ms = 0.0;
-  double conflict_query_ms = 0.0;
-  double recolor_ms = 0.0;
-  double repair_ms = 0.0;
+  dynamic::EpochTimings mean;  ///< per-epoch mean of every stage field
   std::size_t dirty_links = 0;
   std::size_t epochs = 0;
   std::size_t fallbacks = 0;
@@ -118,17 +160,12 @@ struct ChurnRepeat {
 ChurnRepeat run_churn_epochs(dynamic::DynamicPlanner& planner,
                              const dynamic::ChurnTrace& trace) {
   ChurnRepeat result;
-  double epoch_sum = 0.0, mst_update = 0.0, orient = 0.0, maintain = 0.0,
-         query = 0.0, recolor = 0.0, repair = 0.0;
   for (const auto& epoch : trace) {
     const auto report = planner.apply(epoch);
-    epoch_sum += report.timings.incremental_ms();
-    mst_update += report.timings.mst_update_ms;
-    orient += report.timings.orient_ms;
-    maintain += report.timings.conflict_maintain_ms;
-    query += report.timings.conflict_query_ms;
-    recolor += report.timings.recolor_ms;
-    repair += report.timings.repair_ms;
+    result.epoch_ms += report.timings.incremental_ms();
+    for (const auto& stage : stage_fields()) {
+      result.mean.*stage.ms += report.timings.*stage.ms;
+    }
     result.dirty_links += report.dirty_links;
     result.valid = result.valid && report.valid;
     if (report.full_replan) ++result.fallbacks;
@@ -136,13 +173,8 @@ ChurnRepeat run_churn_epochs(dynamic::DynamicPlanner& planner,
   }
   const auto epochs = static_cast<double>(std::max<std::size_t>(1,
                                                                 result.epochs));
-  result.epoch_ms = epoch_sum / epochs;
-  result.mst_update_ms = mst_update / epochs;
-  result.orient_ms = orient / epochs;
-  result.conflict_maintain_ms = maintain / epochs;
-  result.conflict_query_ms = query / epochs;
-  result.recolor_ms = recolor / epochs;
-  result.repair_ms = repair / epochs;
+  result.epoch_ms /= epochs;
+  for (const auto& stage : stage_fields()) result.mean.*stage.ms /= epochs;
   return result;
 }
 
@@ -183,9 +215,22 @@ double conflict_rebuild_baseline_ms(const dynamic::DynamicPlanner& planner,
 struct ScenarioRun {
   obs::BenchScenario scenario;
   std::string profile_table;
-  bool profile_ok = true;
+  /// One line per failed gate (stage identity, shares, overhead).
+  std::vector<std::string> gate_failures;
   bool valid = true;
 };
+
+/// Per-call cost of a span on a disabled tracer: what instrumentation left
+/// in the hot path costs when nobody traces.
+double disabled_span_ms() {
+  constexpr int kReps = 1'000'000;
+  const auto start = util::Clock::now();
+  for (int i = 0; i < kReps; ++i) {
+    obs::Span probe("overhead-probe");
+    do_not_optimize(probe);
+  }
+  return util::ms_since(start) / kReps;
+}
 
 ScenarioRun run_churn_scenario(const ChurnSpec& spec,
                                const SuiteOptions& suite) {
@@ -211,9 +256,11 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
   }
 
   std::vector<ChurnRepeat> measured;
-  std::vector<double> prim_baselines, rebuild_baselines;
+  std::vector<double> prim_baselines, rebuild_baselines, construction_ms;
   for (std::size_t i = 0; i < suite.repeats; ++i) {
     auto planner = std::make_unique<dynamic::DynamicPlanner>(points, options);
+    construction_ms.push_back(
+        planner->last_report().timings.incremental_ms());
     // Window the registry on the mutation epochs (the construction full
     // plan would dominate the histograms).
     obs::Registry::global().reset();
@@ -244,31 +291,33 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
         name, obs::BenchMetric::of(column(getter), "ms"));
   };
   add_ms("epoch_ms", [](const ChurnRepeat& r) { return r.epoch_ms; });
-  add_ms("mst_update_ms",
-         [](const ChurnRepeat& r) { return r.mst_update_ms; });
-  add_ms("orient_ms", [](const ChurnRepeat& r) { return r.orient_ms; });
-  add_ms("conflict_maintain_ms",
-         [](const ChurnRepeat& r) { return r.conflict_maintain_ms; });
-  add_ms("conflict_query_ms",
-         [](const ChurnRepeat& r) { return r.conflict_query_ms; });
-  add_ms("recolor_ms", [](const ChurnRepeat& r) { return r.recolor_ms; });
-  add_ms("repair_ms", [](const ChurnRepeat& r) { return r.repair_ms; });
+  for (const auto& stage : stage_fields()) {
+    add_ms(std::string(stage.name) + "_ms",
+           [&stage](const ChurnRepeat& r) { return r.mean.*stage.ms; });
+  }
 
   // Portable ratios: per-epoch incremental stage cost over an in-process
   // from-scratch baseline measured on the same host, same build, same
   // instant — the only numbers a baseline recorded on other hardware can
   // fairly gate. Each repeat carries its own baseline sample (see the
   // repeat loop), so the ratio's MAD reflects denominator noise too.
-  std::vector<double> mst_share, conflict_share;
+  std::vector<double> mst_share, conflict_share, epoch_share;
+  std::size_t fallbacks = 0;
   for (std::size_t i = 0; i < measured.size(); ++i) {
     const auto& r = measured[i];
+    fallbacks += r.fallbacks;
+    // The construction epoch is a full plan of the same instance, clocked
+    // by the same stage spans: the free from-scratch denominator.
+    epoch_share.push_back(construction_ms[i] > 0.0
+                              ? r.epoch_ms / construction_ms[i]
+                              : 0.0);
     mst_share.push_back(prim_baselines[i] > 0.0
-                            ? (r.mst_update_ms + r.orient_ms) /
+                            ? r.mean.mst_ms() /
                                   prim_baselines[i]
                             : 0.0);
     conflict_share.push_back(
         rebuild_baselines[i] > 0.0
-            ? (r.conflict_maintain_ms + r.conflict_query_ms) /
+            ? r.mean.conflict_ms() /
                   rebuild_baselines[i]
             : 0.0);
   }
@@ -280,25 +329,100 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
       "conflict_share",
       obs::BenchMetric::of(std::move(conflict_share), "ratio",
                            /*higher_is_better=*/false, /*portable=*/true));
+  run.scenario.metrics.emplace(
+      "epoch_share",
+      obs::BenchMetric::of(std::move(epoch_share), "ratio",
+                           /*higher_is_better=*/false, /*portable=*/true));
+  const auto& metrics = run.scenario.metrics;
+  const auto fail = [&run](std::ostringstream& message) {
+    run.gate_failures.push_back(message.str());
+  };
+  if (spec.gated()) {
+    const auto gate_share = [&](const char* name, double limit,
+                                const char* why) {
+      const double value = metrics.at(name).median;
+      if (value > limit) {
+        std::ostringstream message;
+        message << name << " " << util::format_double(value, 4) << " > "
+                << util::format_double(limit, 4) << " — " << why;
+        fail(message);
+      }
+    };
+    gate_share("conflict_share", kMaxConflictShare,
+               "the conflict index is no longer O(dirty)");
+    gate_share("mst_share", kMaxMstShare,
+               "tree updates are no longer localized");
+    gate_share("epoch_share", kMaxEpochShare,
+               "an epoch no longer beats a full plan by 1.4x");
+    if (fallbacks != 0) {
+      std::ostringstream message;
+      message << fallbacks << " low-churn epochs took the full-replan "
+              << "fallback";
+      fail(message);
+    }
+  }
 
   // Untimed profiled repeat: collapse the epoch span tree into the
-  // per-stage self-time table and check the structural identity the
-  // profiler guarantees (exclusive self-times tile the root epoch spans).
+  // per-stage self-time table and check that each stage's exclusive span
+  // time per epoch equals the mean EpochTimings field it bills.
   {
-    obs::Tracer::global().enable();
+    auto& tracer = obs::Tracer::global();
+    tracer.enable();
     dynamic::DynamicPlanner planner(points, options);
-    obs::Tracer::global().clear();  // window the trace on mutation epochs
+    tracer.clear();  // window the trace on mutation epochs
     const auto profiled = run_churn_epochs(planner, trace);
-    do_not_optimize(profiled.epoch_ms);
-    obs::Tracer::global().disable();
+    tracer.disable();
+    const std::uint64_t spans = tracer.recorded_events();
+    const std::uint64_t dropped = tracer.dropped_events();
     const auto profile = obs::profile_global_tracer();
-    obs::Tracer::global().clear();
+    tracer.clear();
     run.profile_table = profile.table(suite.top_k);
-    const double drift =
-        std::abs(profile.exclusive_sum_ms() - profile.root_ms);
-    run.profile_ok = profile.malformed_spans == 0 &&
-                     (profile.root_ms <= 0.0 ||
-                      drift <= kProfileIdentityTolerance * profile.root_ms);
+    if (profile.malformed_spans != 0 || dropped != 0 ||
+        profile.root_count != profiled.epochs) {
+      std::ostringstream message;
+      message << "span profile unusable: " << profile.malformed_spans
+              << " malformed, " << dropped << " dropped, "
+              << profile.root_count << " roots for " << profiled.epochs
+              << " epochs";
+      fail(message);
+    }
+    for (const auto& stage : stage_fields()) {
+      double span_ms = 0.0;
+      for (const auto& row : profile.rows) {
+        if (std::find(stage.spans.begin(), stage.spans.end(), row.name) !=
+            stage.spans.end()) {
+          span_ms += row.exclusive_per_root_ms;
+        }
+      }
+      const double field_ms = profiled.mean.*stage.ms;
+      if (std::abs(span_ms - field_ms) >
+          std::max(kStageIdentityTolerance * field_ms,
+                   kStageIdentityFloorMs)) {
+        std::ostringstream message;
+        message << "stage identity broken: " << stage.name << " spans "
+                << util::format_double(span_ms, 4) << " ms/epoch vs "
+                << stage.name << "_ms " << util::format_double(field_ms, 4);
+        fail(message);
+      }
+    }
+    // Priced, not timed: epoch wall clocks are far noisier than 2%, so the
+    // gate multiplies the spans one epoch opens by the disabled-span cost.
+    if (spec.gated() && profiled.epochs > 0) {
+      const double per_epoch = static_cast<double>(spans) /
+                               static_cast<double>(profiled.epochs);
+      const double overhead_ms = per_epoch * disabled_span_ms();
+      const double budget_ms =
+          kMaxTraceOverhead * metrics.at("epoch_ms").median;
+      if (overhead_ms > budget_ms) {
+        std::ostringstream message;
+        message << "disabled tracing costs "
+                << util::format_double(overhead_ms, 5) << " ms/epoch ("
+                << util::format_double(per_epoch, 1) << " spans) > "
+                << util::format_double(budget_ms, 5)
+                << " — the disabled span path is no longer one relaxed load";
+        fail(message);
+      }
+    }
   }
   return run;
 }
@@ -586,7 +710,7 @@ int run_suite(const SuiteOptions& suite) {
   }
 
   bool all_valid = true;
-  bool profiles_ok = true;
+  bool gates_ok = true;
   std::ostringstream profiles;
   const auto ingest = [&](ScenarioRun run) {
     std::cout << "scenario " << run.scenario.name << ":";
@@ -598,14 +722,12 @@ int run_suite(const SuiteOptions& suite) {
     if (!run.profile_table.empty()) {
       profiles << "== " << run.scenario.name << " ==\n"
                << run.profile_table << "\n";
-      if (!run.profile_ok) {
-        std::cout << "  PROFILE IDENTITY BROKEN: exclusive self-times do "
-                     "not sum to the root epoch spans within "
-                  << 100.0 * kProfileIdentityTolerance << "%\n";
-      }
+    }
+    for (const auto& failure : run.gate_failures) {
+      std::cout << "  GATE FAILED: " << failure << "\n";
     }
     all_valid = all_valid && run.valid;
-    profiles_ok = profiles_ok && run.profile_ok;
+    gates_ok = gates_ok && run.gate_failures.empty();
     trajectory.scenarios.push_back(std::move(run.scenario));
   };
 
@@ -641,9 +763,9 @@ int run_suite(const SuiteOptions& suite) {
     std::cout << "wagg_bench FAILED: a scenario produced an invalid plan\n";
     return 1;
   }
-  if (!profiles_ok) {
-    std::cout << "wagg_bench FAILED: span-profile attribution identity "
-                 "broken\n";
+  if (!gates_ok) {
+    std::cout << "wagg_bench FAILED: a stage-identity or churn gate "
+                 "failed (see GATE FAILED lines)\n";
     return 1;
   }
   return 0;

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
           .cell(report.rate, 4)
           .cell(report.timings.incremental_ms(), 2)
           .cell(report.timings.mst_ms(), 2)
-          .cell(report.timings.conflict_ms, 2)
+          .cell(report.timings.conflict_ms(), 2)
           .cell(cache.row_cache_hits - cache_mark.row_cache_hits)
           .cell(cache.row_cache_misses - cache_mark.row_cache_misses);
       cache_mark = cache;

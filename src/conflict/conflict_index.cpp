@@ -7,7 +7,7 @@
 #include <string>
 #include <utility>
 
-#include "util/clock.h"
+#include "obs/trace.h"
 
 namespace wagg::conflict {
 
@@ -275,7 +275,7 @@ ConflictIndexStats ConflictIndex::stats() const noexcept {
 
 void ConflictIndex::add(geom::LinkId id, const geom::Point& sender,
                         const geom::Point& receiver, double length) {
-  const auto start = util::Clock::now();
+  obs::StageSpan span("conflict_maintain");
   if (id < 0) {
     throw std::invalid_argument("ConflictIndex::add: negative link id");
   }
@@ -310,11 +310,11 @@ void ConflictIndex::add(geom::LinkId id, const geom::Point& sender,
     maybe_evict();
   }
   ++adds_;
-  maintain_ms_ += util::ms_since(start);
+  maintain_ms_ += span.close();
 }
 
 void ConflictIndex::remove(geom::LinkId id) {
-  const auto start = util::Clock::now();
+  obs::StageSpan span("conflict_maintain");
   auto& entry = checked(id);
   if (rows_live_ > 0) {
     // Erase the link from every cached row containing it. Its own cached
@@ -341,12 +341,12 @@ void ConflictIndex::remove(geom::LinkId id) {
   entry.live = false;
   --live_;
   ++removes_;
-  maintain_ms_ += util::ms_since(start);
+  maintain_ms_ += span.close();
 }
 
 void ConflictIndex::update(geom::LinkId id, const geom::Point& sender,
                            const geom::Point& receiver, double length) {
-  const auto start = util::Clock::now();
+  obs::StageSpan span("conflict_maintain");
   if (!(length > 0.0)) {
     throw std::invalid_argument(
         "ConflictIndex::update: length must be positive");
@@ -357,7 +357,7 @@ void ConflictIndex::update(geom::LinkId id, const geom::Point& sender,
     // Bit-identical geometry (the store's set_length + touch refresh double
     // fires here): no cell and no row can change.
     ++updates_;
-    maintain_ms_ += util::ms_since(start);
+    maintain_ms_ += span.close();
     return;
   }
   const bool rows_active = rows_live_ > 0;
@@ -410,7 +410,7 @@ void ConflictIndex::update(geom::LinkId id, const geom::Point& sender,
     maybe_evict();
   }
   ++updates_;
-  maintain_ms_ += util::ms_since(start);
+  maintain_ms_ += span.close();
 }
 
 void ConflictIndex::clear() {

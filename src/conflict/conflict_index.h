@@ -41,9 +41,10 @@ class RelaxedCounter {
 }  // namespace detail
 
 /// Maintenance and shape counters of a ConflictIndex, snapshotted by value
-/// from ConflictIndex::stats(). maintain_ms is the accumulated wall clock of
-/// every add/remove/update since construction — callers diff it across an
-/// epoch to attribute index upkeep separately from query time.
+/// from ConflictIndex::stats(). maintain_ms is the accumulated duration of
+/// every add/remove/update since construction, each billed from its own
+/// `conflict_maintain` stage span (obs::StageSpan) — callers diff it across
+/// an epoch to attribute index upkeep separately from query time.
 struct ConflictIndexStats {
   std::size_t adds = 0;
   std::size_t removes = 0;

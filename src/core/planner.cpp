@@ -5,13 +5,10 @@
 
 #include "coloring/coloring.h"
 #include "conflict/conflict_index.h"
+#include "obs/trace.h"
 #include "schedule/repair.h"
-#include "util/clock.h"
 
 namespace wagg::core {
-
-using util::Clock;
-using util::ms_since;
 
 std::string to_string(PowerMode mode) {
   switch (mode) {
@@ -110,15 +107,18 @@ LinkScheduleResult schedule_links(const geom::LinkView& links,
   result.spec = spec_for_mode(config);
   result.power = power_for_mode(links, config);
 
-  auto stage_start = Clock::now();
+  // One stage clock: each StageTimings field is billed from the stage span
+  // named after it.
+  StageTimings local;
+  StageTimings& t = timings ? *timings : local;
+  obs::StageSpan stage("conflict");
   const conflict::Graph graph =
       conflict_index ? conflict_index->build_graph(links, result.spec)
       : config.bucketed_conflict
           ? conflict::build_conflict_graph_bucketed(links, result.spec)
           : conflict::build_conflict_graph(links, result.spec);
-  if (timings) timings->conflict_ms = ms_since(stage_start);
+  t.conflict_ms = stage.next("coloring");
 
-  stage_start = Clock::now();
   const auto order = config.order == ColoringOrder::kDecreasingLength
                          ? links.by_decreasing_length()
                          : links.by_increasing_length();
@@ -133,20 +133,24 @@ LinkScheduleResult schedule_links(const geom::LinkView& links,
                   [](const std::vector<std::size_t>& s) { return s.empty(); });
   }
   result.colors_before_repair = result.schedule.length();
-  if (timings) timings->coloring_ms = ms_since(stage_start);
+  t.coloring_ms = stage.next("repair");
 
-  stage_start = Clock::now();
   auto ledger = ledger_for_mode(links, config);
   auto repaired = schedule::repair_schedule(links, result.schedule, ledger);
   result.schedule = std::move(repaired.schedule);
   result.certificates = std::move(repaired.certificates);
   result.slots_split = repaired.slots_split;
-  if (timings) timings->repair_ms = ms_since(stage_start);
+  t.repair_ms = stage.next("verify");
 
-  stage_start = Clock::now();
-  result.verification = schedule::verify_schedule(
-      links, result.schedule, oracle_for_mode(links, config));
-  if (timings) timings->verify_ms = ms_since(stage_start);
+  // kGlobal: every slot is checked exactly under the powers repair
+  // certified it with; only a slot they fail goes to the cold solve.
+  const auto oracle = oracle_for_mode(links, config);
+  result.verification =
+      config.power_mode == PowerMode::kGlobal
+          ? schedule::verify_certified(result.schedule, result.certificates,
+                                       ledger, oracle)
+          : schedule::verify_schedule(links, result.schedule, oracle);
+  t.verify_ms = stage.close();
   return result;
 }
 
@@ -158,7 +162,9 @@ PlanResult plan_aggregation(const geom::Pointset& points,
     throw std::invalid_argument("plan_aggregation: need >= 2 points");
   }
   PlanResult result;
-  const auto tree_start = Clock::now();
+  StageTimings local;
+  StageTimings& t = timings ? *timings : local;
+  obs::StageSpan stage("tree");
   switch (config.tree) {
     case TreeKind::kMst:
       result.tree = mst::mst_tree(points, config.sink);
@@ -167,11 +173,11 @@ PlanResult plan_aggregation(const geom::Pointset& points,
       result.tree = mst::pairing_tree(points, config.sink).tree;
       break;
   }
-  if (timings) timings->tree_ms = ms_since(tree_start);
-  result.scheduling = schedule_links(result.tree.links, config, timings);
+  t.tree_ms = stage.close();
+  result.scheduling = schedule_links(result.tree.links, config, &t);
 
   if (config.power_mode == PowerMode::kGlobal) {
-    const auto power_start = Clock::now();
+    stage.next("power");
     // Ship the per-slot power vectors repair certified (the output of the
     // power-control algorithm) and stitch a per-link assignment from each
     // link's home slot for reporting.
@@ -188,7 +194,7 @@ PlanResult plan_aggregation(const geom::Pointset& points,
     }
     result.scheduling.power =
         sinr::PowerAssignment(std::move(stitched), "global(stitched)");
-    if (timings) timings->power_ms = ms_since(power_start);
+    t.power_ms = stage.close();
   }
   return result;
 }

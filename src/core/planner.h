@@ -65,7 +65,9 @@ struct PlannerConfig {
 /// Wall-clock breakdown of one planning run, in milliseconds. Filled by
 /// plan_aggregation / schedule_links when the caller passes a non-null
 /// pointer; stages a run does not execute (power for fixed-power modes)
-/// stay 0.
+/// stay 0. Each field is billed from the obs::StageSpan named after it
+/// (`tree`, `conflict`, `coloring`, `repair`, `verify`, `power`), so a
+/// trace of the run shows the same intervals.
 struct StageTimings {
   double tree_ms = 0.0;      ///< spanning-structure construction
   double conflict_ms = 0.0;  ///< conflict-graph build
@@ -131,8 +133,10 @@ struct WarmStart {
 };
 
 /// Colors the conflict graph, repairs, verifies: a complete TDMA schedule
-/// for an arbitrary link set under the configured power mode. When `timings`
-/// is non-null the conflict/coloring/repair/verify stages are clocked into
+/// for an arbitrary link set under the configured power mode. kGlobal slots
+/// are verified exactly under the powers repair certified them with (the
+/// cold solve runs only for a slot those powers fail). When `timings` is
+/// non-null the conflict/coloring/repair/verify stages are clocked into
 /// it. When `warm` is non-null (and sized to the links) the coloring is
 /// seeded from it instead of computed from scratch. When `conflict_index` is
 /// non-null it must be the maintained index of the store `links` snapshots

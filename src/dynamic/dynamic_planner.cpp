@@ -16,12 +16,8 @@
 #include "schedule/repair.h"
 #include "schedule/verify.h"
 #include "sinr/feasibility.h"
-#include "util/clock.h"
 
 namespace wagg::dynamic {
-
-using util::Clock;
-using util::ms_since;
 
 namespace {
 
@@ -148,7 +144,6 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
 
   obs::Span epoch_span("epoch");
   obs::StageSpan mst_span("mst_update");
-  const auto mst_start = Clock::now();
   // Past ~n/8 mutations one batch Prim beats per-mutation maintenance, so
   // bulk epochs defer tree updates and rebuild once. The threshold rose
   // with the dynamic-tree engine: per-update cost is now polylog plus the
@@ -207,8 +202,7 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
     throw;
   }
   if (bulk) mst_.rebuild();
-  mst_span.close();
-  report.timings.mst_update_ms = ms_since(mst_start);
+  report.timings.mst_update_ms = mst_span.close();
 
   try {
     replan(touched, report);
@@ -486,12 +480,12 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   const auto& config = options_.config;
 
   // ---- bring the id-space store in line with the maintained tree ----
-  // Conflict-index upkeep rides the store's listener hooks inside this
-  // stage; its accumulated-timer delta is carved out of orient_ms below so
-  // the conflict stage owns the full conflict-layer cost.
+  // One stage clock: every EpochTimings field below is billed from the
+  // stage span named after it. Conflict-index upkeep rides the store's
+  // listener hooks inside this stage as nested conflict_maintain spans;
+  // carving their total out of orient_ms leaves orient its self time.
   const double maintain_mark = conflict_index_.stats().maintain_ms;
   obs::StageSpan stage_span("orient");
-  auto stage_start = Clock::now();
   const auto delta = mst_.take_delta();
   {
     auto& metrics = planner_metrics();
@@ -525,14 +519,11 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   const double maintain_ms =
       conflict_index_.stats().maintain_ms - maintain_mark;
   report.timings.conflict_maintain_ms += maintain_ms;
-  report.timings.conflict_ms += maintain_ms;
-  report.timings.orient_ms += ms_since(stage_start) - maintain_ms;
-  stage_span.next("dirty_detect");
+  report.timings.orient_ms += stage_span.next("recolor") - maintain_ms;
 
   // ---- dirty detection via generation counters (no conflict graph
   // needed: the pairwise conflict relation of two geometrically unchanged
-  // links cannot change) ----
-  stage_start = Clock::now();
+  // links cannot change); billed to recolor on both paths ----
   // Fixed-power modes with ambient noise couple every power to the global
   // max link length; any change then invalidates every link.
   const bool noise_coupled = config.power_mode != core::PowerMode::kGlobal &&
@@ -553,8 +544,6 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   report.dirty_links = dirty_count;
   report.num_nodes = points.size();
   report.num_links = n;
-  // Dirty detection counts toward recolor on both paths.
-  report.timings.recolor_ms += ms_since(stage_start);
 
   const bool full =
       prev_slot_count_.empty() ||
@@ -568,8 +557,6 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     // ---- fallback: full replan, warm-started from the surviving slots so
     // the coloring stays stable; repair + verification run from scratch and
     // re-anchor the carried-over validity chain ----
-    stage_span.next("full_replan");
-    stage_start = Clock::now();
     core::StageTimings stage_timings;
     core::WarmStart warm;
     const core::WarmStart* warm_ptr = nullptr;
@@ -580,10 +567,12 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
       }
       warm_ptr = &warm;
     }
-    report.timings.recolor_ms += ms_since(stage_start);
+    report.timings.recolor_ms += stage_span.close();
+    // schedule_links clocks its own conflict/coloring/repair/verify spans;
+    // each folds into the epoch field of the same stage.
     auto scheduled = core::schedule_links(links, config, &stage_timings,
                                           warm_ptr, &conflict_index_);
-    report.timings.conflict_ms += stage_timings.conflict_ms;
+    stage_span.next("repair");
     report.timings.conflict_query_ms += stage_timings.conflict_ms;
     report.timings.recolor_ms += stage_timings.coloring_ms;
     report.timings.repair_ms +=
@@ -604,8 +593,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     // per-class grids — output-sensitive queries with ZERO per-epoch
     // rebuild (the O(n) grid construction the from-scratch subset query
     // pays every call).
-    stage_span.next("conflict_query");
-    stage_start = Clock::now();
+    report.timings.recolor_ms += stage_span.next("conflict_query");
     std::vector<std::size_t> dirty_indices;
     dirty_indices.reserve(dirty_count);
     for (std::size_t i = 0; i < n; ++i) {
@@ -625,22 +613,18 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     const auto spec = core::spec_for_mode(config);
     const auto neighbor_rows =
         conflict_index_.neighbors(links, spec, dirty_indices);
-    const double query_ms = ms_since(stage_start);
-    report.timings.conflict_ms += query_ms;
-    report.timings.conflict_query_ms += query_ms;
+    report.timings.conflict_query_ms += stage_span.next("recolor");
 
     // Seeded recolor: surviving links keep their final slot (final slots
     // are independent sets, so the seed is proper); only dirty links are
     // first-fit colored against their conflict rows.
-    stage_span.next("recolor");
-    stage_start = Clock::now();
     std::vector<int> seed(n, -1);
     for (std::size_t i = 0; i < n; ++i) {
       if (!dirty[i]) seed[i] = slot_of_[links.id_of(i)];
     }
     const auto recolored =
         coloring::greedy_recolor_rows(dirty_indices, neighbor_rows, seed);
-    report.timings.recolor_ms += ms_since(stage_start);
+    report.timings.recolor_ms += stage_span.next("repair");
 
     // Slot carry-over + patch repair against the slot ledger. Soundness
     // does NOT assume oracle monotonicity under member departure: a slot's
@@ -648,8 +632,6 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     // class that shrank is re-checked — its carried bounds are still upper
     // bounds under the same powers — before serving as a kept sub-slot or
     // a final slot.
-    stage_span.next("repair");
-    stage_start = Clock::now();
     const bool carried = config.power_mode == core::PowerMode::kGlobal;
     auto ledger = core::ledger_for_mode(links, config);
     std::vector<std::vector<std::size_t>> classes(
@@ -702,10 +684,9 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
       }
     }
     report.valid = schedule::is_partition(final_schedule, n);
-    report.timings.repair_ms += ms_since(stage_start);
   }
+  report.timings.repair_ms += stage_span.close();
 
-  stage_span.close();
   report.slots = final_schedule.length();
   report.rate = final_schedule.empty() ? 0.0 : final_schedule.coloring_rate();
 
@@ -759,8 +740,7 @@ const std::vector<sinr::PowerAssignment>& DynamicPlanner::slot_powers() {
         "not per-slot power vectors");
   }
   if (slot_powers_current_) return slot_powers_;
-  obs::Span span("power");
-  const auto start = Clock::now();
+  obs::StageSpan span("power");
   const auto& links = current_.links;
   slot_powers_.clear();
   slot_powers_.reserve(current_.schedule.slots.size());
@@ -791,21 +771,19 @@ const std::vector<sinr::PowerAssignment>& DynamicPlanner::slot_powers() {
   }
 
   slot_powers_current_ = true;
-  const double elapsed = ms_since(start);
+  const double elapsed = span.close();
   report_.timings.power_ms += elapsed;
   planner_metrics().power_ms.record(elapsed);
   return slot_powers_;
 }
 
 void DynamicPlanner::run_audit(EpochReport& report) {
-  obs::Span span("audit");
-  const auto audit_start = Clock::now();
+  obs::StageSpan stage("audit_full");
   auto config = options_.config;
   config.sink = current_.sink;  // compact index of the stable sink id
 
-  const auto full_start = Clock::now();
   const auto full = core::plan_aggregation(current_.points, config);
-  report.audit_full_ms = ms_since(full_start);
+  report.audit_full_ms = stage.next("audit");
   report.audit_full_slots = full.schedule().length();
   report.audit_full_rate = full.rate();
 
@@ -883,7 +861,7 @@ void DynamicPlanner::run_audit(EpochReport& report) {
                                               all_links);
 
   report.audited = true;
-  report.timings.audit_ms = ms_since(audit_start);
+  report.timings.audit_ms = report.audit_full_ms + stage.close();
   if (!(report.audit_valid && report.audit_power_valid &&
         report.audit_tree_match && report.audit_store_match &&
         report.audit_index_match)) {
@@ -935,7 +913,7 @@ void DynamicPlanner::publish_epoch_metrics(const EpochReport& report) {
   const EpochTimings& t = report.timings;
   metrics.epoch_ms.record(t.incremental_ms());
   metrics.mst_ms.record(t.mst_ms());
-  metrics.conflict_ms.record(t.conflict_ms);
+  metrics.conflict_ms.record(t.conflict_ms());
   metrics.recolor_ms.record(t.recolor_ms);
   metrics.repair_ms.record(t.repair_ms);
   metrics.dirty_per_epoch.record(static_cast<double>(report.dirty_links));

@@ -30,10 +30,16 @@ struct DynamicOptions {
   void validate() const;
 };
 
-/// Wall-clock breakdown of one epoch, milliseconds. audit_ms covers only the
-/// from-scratch replan of audit mode, so incremental_ms() is the honest cost
-/// of the incremental engine. power_ms covers on-demand slot-power
-/// materialization (slot_powers()), which runs only when a consumer asks.
+/// Wall-clock breakdown of one epoch, milliseconds. One stage clock
+/// (obs::StageSpan) bills every field: each equals the exclusive self time
+/// of the span named after it (`mst_update`, `orient`, `conflict_maintain`,
+/// `conflict_query`, `recolor`, `repair`, `power`), and a full-replan epoch
+/// folds core::schedule_links' `conflict`/`coloring`/`repair`+`verify`
+/// spans into conflict_query/recolor/repair. audit_ms covers only audit
+/// mode's from-scratch replan and checks (`audit_full` + `audit` spans), so
+/// incremental_ms() is the honest cost of the incremental engine. power_ms
+/// covers on-demand slot-power materialization (slot_powers()), which runs
+/// only when a consumer asks.
 struct EpochTimings {
   /// Tree-layer cost, split so a dynamic-tree regression is visible
   /// separately from orientation-replay cost:
@@ -41,13 +47,10 @@ struct EpochTimings {
   ///                   link/cut/path_max work, grid upkeep, bulk rebuilds);
   ///   orient_ms     — replaying the journaled edge diff onto the
   ///                   LinkStore (rehang flips, length refreshes) plus the
-  ///                   dense per-epoch snapshot build.
+  ///                   dense per-epoch snapshot build, minus the index
+  ///                   upkeep nested inside it.
   double mst_update_ms = 0.0;
   double orient_ms = 0.0;
-  /// Total conflict-layer cost: index maintenance + row queries. Split
-  /// below so an index-upkeep regression is visible separately from query
-  /// cost.
-  double conflict_ms = 0.0;
   double conflict_maintain_ms = 0.0;  ///< ConflictIndex add/remove/update
   double conflict_query_ms = 0.0;     ///< dirty-row queries / graph assembly
   double recolor_ms = 0.0;  ///< dirty detection + seeded recoloring
@@ -59,8 +62,12 @@ struct EpochTimings {
   [[nodiscard]] double mst_ms() const noexcept {
     return mst_update_ms + orient_ms;
   }
+  /// The whole conflict layer: index maintenance + row queries.
+  [[nodiscard]] double conflict_ms() const noexcept {
+    return conflict_maintain_ms + conflict_query_ms;
+  }
   [[nodiscard]] double incremental_ms() const noexcept {
-    return mst_ms() + conflict_ms + recolor_ms + repair_ms;
+    return mst_ms() + conflict_ms() + recolor_ms + repair_ms;
   }
 };
 

@@ -23,11 +23,13 @@ struct ProfileRow {
 };
 
 /// A span stream collapsed into per-stage inclusive/exclusive self-time
-/// tables. The structural identity the profiler maintains (and the bench
-/// suite gates on): summed exclusive self time over ALL rows equals summed
+/// tables. The structural identity the profiler maintains by
+/// construction: summed exclusive self time over ALL rows equals summed
 /// root-span time exactly — every nanosecond of a root span is attributed
 /// to exactly one stage, so the table reads as a complete breakdown of
-/// where an epoch went.
+/// where an epoch went. (The bench suite gates the stronger per-stage
+/// identity: each stage's exclusive time equals the EpochTimings field it
+/// bills.)
 struct ProfileReport {
   /// Rows sorted hottest first (descending exclusive self time).
   std::vector<ProfileRow> rows;

@@ -12,11 +12,17 @@ Tracer& Tracer::global() {
   return instance;
 }
 
+thread_local Tracer::ThreadBuffer* Tracer::bound_buffer_ = nullptr;
+thread_local std::uint64_t Tracer::bound_generation_ = 0;
+
 void Tracer::enable(std::size_t events_per_thread) {
   util::MutexLock lock(mutex_);
   buffers_.clear();
   capacity_ = std::max<std::size_t>(1, events_per_thread);
   generation_.fetch_add(1, std::memory_order_release);
+  // The enabling thread is the one about to trace: give it its ring now,
+  // not inside its first span.
+  register_thread();
   enabled_.store(true, std::memory_order_release);
 }
 
@@ -25,32 +31,36 @@ void Tracer::disable() {
 }
 
 void Tracer::clear() {
+  // Rings stay registered and bound, so a quiescent thread's next span
+  // records without allocating; only the write heads rewind.
   util::MutexLock lock(mutex_);
-  buffers_.clear();
-  generation_.fetch_add(1, std::memory_order_release);
+  for (const auto& buffer : buffers_) {
+    buffer->head.store(0, std::memory_order_release);
+  }
+}
+
+Tracer::ThreadBuffer* Tracer::register_thread() {
+  buffers_.push_back(std::make_unique<ThreadBuffer>(
+      capacity_, static_cast<std::uint32_t>(buffers_.size())));
+  bound_buffer_ = buffers_.back().get();
+  bound_generation_ = generation_.load(std::memory_order_relaxed);
+  return bound_buffer_;
 }
 
 Tracer::ThreadBuffer* Tracer::local_buffer() {
   // This thread's binding, revalidated against the tracer's generation so
-  // enable()/clear() windows never leak stale buffer pointers across.
-  thread_local ThreadBuffer* bound_buffer = nullptr;
-  thread_local std::uint64_t bound_generation = 0;
-
+  // enable() windows never leak stale buffer pointers across.
   const std::uint64_t generation =
       generation_.load(std::memory_order_acquire);
-  if (bound_buffer != nullptr && bound_generation == generation) {
-    return bound_buffer;
+  if (bound_buffer_ != nullptr && bound_generation_ == generation) {
+    return bound_buffer_;
   }
-  // Cold path: first span of this thread in this enable window.
+  // Cold path: first span of this thread in this enable window. A
+  // concurrent enable() between the generation read and the lock would
+  // orphan this buffer into a dead window; register_thread() re-reads the
+  // generation under the lock, keeping binding and registration consistent.
   util::MutexLock lock(mutex_);
-  // A concurrent enable()/clear() between the generation read and the lock
-  // would orphan this buffer into a dead window; re-reading under the lock
-  // keeps binding and registration consistent.
-  bound_generation = generation_.load(std::memory_order_relaxed);
-  buffers_.push_back(std::make_unique<ThreadBuffer>(
-      capacity_, static_cast<std::uint32_t>(buffers_.size())));
-  bound_buffer = buffers_.back().get();
-  return bound_buffer;
+  return register_thread();
 }
 
 // Carve-out (WAGG_NO_THREAD_SAFETY_ANALYSIS): the hot path writes the ring
@@ -58,8 +68,8 @@ Tracer::ThreadBuffer* Tracer::local_buffer() {
 // design. Safety comes from single-writer ownership (only the registering
 // thread ever writes its ring; slot store before the release head bump) and
 // from the generation check in local_buffer(), which keeps stale pointers
-// from a previous enable()/clear() window from being dereferenced. Readers
-// take mutex_ AND require writer quiescence (class comment).
+// from a previous enable() window from being dereferenced. Readers and
+// clear() take mutex_ AND require writer quiescence (class comment).
 void Tracer::record(const char* name, std::uint64_t start_ns,
                     std::uint64_t end_ns) WAGG_NO_THREAD_SAFETY_ANALYSIS {
   ThreadBuffer* buffer = local_buffer();

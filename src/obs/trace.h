@@ -40,9 +40,11 @@ struct CollectedSpan {
 ///
 /// When enabled, each recording thread owns a fixed-size ring buffer it
 /// alone writes (registered once under a mutex — the only lock, and only on
-/// a thread's first span). record() is therefore lock-free and allocation-
-/// free on the hot path: one slot store plus a release bump of the write
-/// head. A full ring drops the OLDEST events (the ring keeps the tail of
+/// a thread's first span of an enable() window; enable() registers the
+/// calling thread eagerly and clear() keeps every ring, so a traced
+/// window's first span never pays for a ring allocation). record() is
+/// therefore lock-free and allocation-free on the hot path: one slot store
+/// plus a release bump of the write head. A full ring drops the OLDEST events (the ring keeps the tail of
 /// the story) and the overwritten count is exact: dropped = written -
 /// capacity.
 ///
@@ -57,9 +59,9 @@ class Tracer {
   /// The process-wide tracer every Span uses.
   static Tracer& global();
 
-  /// Starts collecting. Clears previously collected events; per-thread
-  /// buffers are (re)created at `events_per_thread` capacity on each
-  /// thread's next span.
+  /// Starts collecting. Drops previously collected events and every
+  /// thread's ring; rings are created at `events_per_thread` capacity — the
+  /// calling thread's here, any other thread's on its next span.
   void enable(std::size_t events_per_thread = kDefaultCapacity)
       WAGG_EXCLUDES(mutex_);
   /// Stops collecting. Buffered events survive for export.
@@ -70,9 +72,13 @@ class Tracer {
 
   /// Nanoseconds since the tracer's epoch (set at construction).
   [[nodiscard]] std::uint64_t now_ns() const noexcept {
+    return ns_at(util::Clock::now());
+  }
+  /// `t` in nanoseconds since the tracer's epoch (0 for earlier instants).
+  [[nodiscard]] std::uint64_t ns_at(util::Clock::time_point t) const noexcept {
+    if (t <= epoch_) return 0;
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            util::Clock::now() - epoch_)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
             .count());
   }
 
@@ -100,7 +106,9 @@ class Tracer {
   [[nodiscard]] std::vector<CollectedSpan> collect() const
       WAGG_EXCLUDES(mutex_);
 
-  /// Drops all buffered events and thread registrations.
+  /// Drops all buffered events. Thread registrations and their rings
+  /// survive (a quiescent thread's next span records without allocating);
+  /// the next enable() frees them.
   void clear() WAGG_EXCLUDES(mutex_);
 
  private:
@@ -117,9 +125,16 @@ class Tracer {
   Tracer() : epoch_(util::Clock::now()) {}
 
   [[nodiscard]] ThreadBuffer* local_buffer() WAGG_EXCLUDES(mutex_);
+  /// Registers a fresh ring for the calling thread and binds it.
+  ThreadBuffer* register_thread() WAGG_REQUIRES(mutex_);
+
+  /// The calling thread's ring, valid while bound_generation_ matches
+  /// generation_.
+  static thread_local ThreadBuffer* bound_buffer_;
+  static thread_local std::uint64_t bound_generation_;
 
   std::atomic<bool> enabled_{false};
-  /// Bumped by enable()/clear(); thread-local buffer pointers are revalidated
+  /// Bumped by enable(); thread-local buffer pointers are revalidated
   /// against it so stale pointers from a previous enable window are never
   /// dereferenced.
   std::atomic<std::uint64_t> generation_{1};
@@ -164,47 +179,54 @@ class Span {
   std::uint64_t start_ns_ = 0;
 };
 
-/// Manual span rotation for straight-line stage sequences: next("b") closes
-/// the current span and opens the next back-to-back (shared timestamp, so
-/// consecutive stages tile without gap or overlap), close()/destruction ends
-/// the last one. Fits code like DynamicPlanner::replan where stages are
-/// sequential statements in one scope and RAII blocks would force
-/// restructuring.
+/// The stage clock: the one timer every pipeline stage bills its
+/// milliseconds from. It reads util::Clock once at each stage boundary
+/// whether or not tracing is on; when tracing is on it records the span
+/// from those same instants. next("b") ends the current stage and opens the
+/// next back-to-back (shared instant, so consecutive stages tile without gap
+/// or overlap); close()/destruction ends the last one. Both return the ms
+/// of the stage that just ended, so a timing field billed from them equals
+/// its span's duration by construction. next() after close() opens a new
+/// stage. Fits straight-line stage sequences (DynamicPlanner::replan,
+/// core::schedule_links) where RAII blocks would force restructuring.
 class StageSpan {
  public:
-  explicit StageSpan(const char* name) noexcept {
-    Tracer& tracer = Tracer::global();
-    if (tracer.enabled()) {
-      name_ = name;
-      start_ns_ = tracer.now_ns();
-    }
-  }
-  ~StageSpan() { close(); }
+  explicit StageSpan(const char* name) noexcept
+      : name_(name), start_(util::Clock::now()) {}
+  ~StageSpan() { (void)close(); }
 
-  /// Ends the current stage and starts `name` at the same instant.
-  void next(const char* name) noexcept {
-    if (name_ == nullptr) return;
-    Tracer& tracer = Tracer::global();
-    const std::uint64_t now = tracer.now_ns();
-    tracer.record(name_, start_ns_, now);
+  /// Ends the current stage (if open) and starts `name` at the same
+  /// instant. Returns the ended stage's ms (0 when none was open).
+  double next(const char* name) noexcept {
+    const auto now = util::Clock::now();
+    const double ms = name_ == nullptr ? 0.0 : end_at(now);
     name_ = name;
-    start_ns_ = now;
+    start_ = now;
+    return ms;
   }
 
-  /// Ends the current stage (idempotent).
-  void close() noexcept {
-    if (name_ == nullptr) return;
-    Tracer& tracer = Tracer::global();
-    tracer.record(name_, start_ns_, tracer.now_ns());
+  /// Ends the current stage and returns its ms (0 when already closed).
+  double close() noexcept {
+    if (name_ == nullptr) return 0.0;
+    const double ms = end_at(util::Clock::now());
     name_ = nullptr;
+    return ms;
   }
 
   StageSpan(const StageSpan&) = delete;
   StageSpan& operator=(const StageSpan&) = delete;
 
  private:
+  double end_at(util::Clock::time_point now) noexcept {
+    Tracer& tracer = Tracer::global();
+    if (tracer.enabled()) {
+      tracer.record(name_, tracer.ns_at(start_), tracer.ns_at(now));
+    }
+    return std::chrono::duration<double, std::milli>(now - start_).count();
+  }
+
   const char* name_ = nullptr;
-  std::uint64_t start_ns_ = 0;
+  util::Clock::time_point start_;
 };
 
 }  // namespace wagg::obs

@@ -97,7 +97,7 @@ void execute_session_request(const PlanRequest& request,
     outcome.timings.tree_ms += report.timings.mst_ms();
     outcome.mst_update_ms += report.timings.mst_update_ms;
     outcome.orient_ms += report.timings.orient_ms;
-    outcome.timings.conflict_ms += report.timings.conflict_ms;
+    outcome.timings.conflict_ms += report.timings.conflict_ms();
     outcome.conflict_maintain_ms += report.timings.conflict_maintain_ms;
     outcome.conflict_query_ms += report.timings.conflict_query_ms;
     outcome.timings.coloring_ms += report.timings.recolor_ms;

@@ -1,5 +1,7 @@
 #include "schedule/verify.h"
 
+#include <stdexcept>
+
 namespace wagg::schedule {
 
 FeasibilityOracle fixed_power_oracle(const geom::LinkView& links,
@@ -32,6 +34,30 @@ VerificationReport verify_schedule(const geom::LinkView& links,
     }
   }
   report.covers_all_links = covers_all_links(schedule, links.size());
+  return report;
+}
+
+VerificationReport verify_certified(const Schedule& schedule,
+                                    std::span<const LedgerSlot> certificates,
+                                    const SlotLedger& ledger,
+                                    const FeasibilityOracle& fallback) {
+  if (certificates.size() != schedule.slots.size()) {
+    throw std::invalid_argument(
+        "verify_certified: one certificate per slot required");
+  }
+  VerificationReport report;
+  report.all_slots_feasible = true;
+  for (std::size_t s = 0; s < schedule.slots.size(); ++s) {
+    LedgerSlot exact = certificates[s];
+    ledger.reseed(exact);
+    const bool certified =
+        exact.members == schedule.slots[s] && ledger.certifies(exact);
+    if (!certified && !fallback(schedule.slots[s])) {
+      report.all_slots_feasible = false;
+      report.infeasible_slots.push_back(s);
+    }
+  }
+  report.covers_all_links = covers_all_links(schedule, ledger.links().size());
   return report;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "geom/linkset.h"
+#include "schedule/ledger.h"
 #include "schedule/schedule.h"
 #include "sinr/feasibility.h"
 #include "sinr/model.h"
@@ -45,6 +46,18 @@ struct VerificationReport {
 [[nodiscard]] VerificationReport verify_schedule(const geom::LinkView& links,
                                                  const Schedule& schedule,
                                                  const FeasibilityOracle& oracle);
+
+/// Verifies a schedule whose slots carry the certificates repair produced
+/// (`certificates[s]` holds slot s's members, powers and bounds): each
+/// slot's loads are recomputed exactly under its certified powers
+/// (SlotLedger::reseed, O(|slot|^2)), and only a slot those powers do not
+/// certify — or whose certificate names other members — falls to
+/// `fallback`. Powers that certify a slot satisfy every SINR constraint on
+/// it, so this reaches verify_schedule's verdicts with one exact pass per
+/// slot instead of a solve.
+[[nodiscard]] VerificationReport verify_certified(
+    const Schedule& schedule, std::span<const LedgerSlot> certificates,
+    const SlotLedger& ledger, const FeasibilityOracle& fallback);
 
 }  // namespace wagg::schedule
 

@@ -14,6 +14,8 @@
 #include "mst/incremental.h"
 #include "mst/mst.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
+#include "obs/trace.h"
 #include "runtime/plan_service.h"
 #include "schedule/verify.h"
 #include "sinr/feasibility.h"
@@ -762,6 +764,112 @@ TEST(DynamicPlanner, TinyThresholdForcesFullReplanAndStaysValid) {
     EXPECT_TRUE(report.valid) << "epoch " << report.epoch;
     EXPECT_TRUE(report.audit_valid) << "epoch " << report.epoch;
   }
+}
+
+TEST(DynamicPlanner, TimingLedgersAgreeAcrossFallbackAndFailedEpochs) {
+  // One stage clock bills EpochTimings, the dynamic.*_ms histograms and the
+  // spans: over a session with full-replan epochs (construction, and the
+  // recovery after a failed epoch), localized epochs and slot_powers()
+  // calls, all three must tell the same story.
+  auto& registry = obs::Registry::global();
+  auto& tracer = obs::Tracer::global();
+  registry.reset();
+  tracer.enable();
+
+  const auto points = workload::make_family("uniform", 96, 5);
+  ChurnParams params;
+  params.epochs = 6;
+  params.rate = 0.05;
+  const auto trace = make_churn_trace(points, params, 3);
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kGlobal);
+  DynamicPlanner planner(points, options);
+
+  std::vector<EpochReport> reports{planner.last_report()};
+  double power_ms = 0.0;
+  std::size_t power_calls = 0;
+  std::vector<obs::CollectedSpan> spans;
+  for (std::size_t e = 0; e < trace.size(); ++e) {
+    if (e == 2) {
+      // A failed epoch publishes nothing; its spans leave the window too.
+      spans = tracer.collect();
+      EXPECT_THROW(
+          (void)planner.apply(Mutation{Mutation::Kind::kRemove,
+                                       planner.sink(), {}}),
+          std::invalid_argument);
+      tracer.clear();
+    }
+    reports.push_back(planner.apply(trace[e]));
+    if (e % 2 == 0) {
+      (void)planner.slot_powers();
+      power_ms += planner.last_report().timings.power_ms;
+      ++power_calls;
+    }
+  }
+  tracer.disable();
+  const auto tail = tracer.collect();
+  spans.insert(spans.end(), tail.begin(), tail.end());
+  tracer.clear();
+
+  std::size_t full = 0;
+  EpochTimings sum;
+  double epoch_sum = 0.0;
+  for (const auto& r : reports) {
+    if (r.full_replan) ++full;
+    epoch_sum += r.timings.incremental_ms();
+    sum.mst_update_ms += r.timings.mst_update_ms;
+    sum.orient_ms += r.timings.orient_ms;
+    sum.conflict_maintain_ms += r.timings.conflict_maintain_ms;
+    sum.conflict_query_ms += r.timings.conflict_query_ms;
+    sum.recolor_ms += r.timings.recolor_ms;
+    sum.repair_ms += r.timings.repair_ms;
+  }
+  EXPECT_GE(full, 2u);  // construction + the post-failure recovery
+  EXPECT_LT(full, reports.size());
+  EXPECT_TRUE(reports[3].full_replan);  // the epoch after the failure
+
+  const auto near = [](double expected) {
+    return 1e-9 * std::max(1.0, std::abs(expected));
+  };
+  const auto snapshot = registry.snapshot();
+  const auto expect_hist = [&](const char* name, std::size_t count,
+                               double total) {
+    const auto& h = snapshot.histograms.at(name);
+    EXPECT_EQ(h.count(), count) << name;
+    EXPECT_NEAR(h.sum(), total, near(total)) << name;
+  };
+  expect_hist("dynamic.epoch_ms", reports.size(), epoch_sum);
+  expect_hist("dynamic.mst_ms", reports.size(), sum.mst_ms());
+  expect_hist("dynamic.conflict_ms", reports.size(), sum.conflict_ms());
+  expect_hist("dynamic.recolor_ms", reports.size(), sum.recolor_ms);
+  expect_hist("dynamic.repair_ms", reports.size(), sum.repair_ms);
+  expect_hist("dynamic.power_ms", power_calls, power_ms);
+
+  // Each field equals the exclusive time of the spans that bill it: its
+  // own stage span, plus the core::schedule_links spans a full replan
+  // folds in.
+  const auto profile = obs::profile_spans(spans);
+  EXPECT_EQ(profile.malformed_spans, 0u);
+  const auto span_ms = [&profile](std::initializer_list<const char*> names) {
+    double total = 0.0;
+    for (const auto& row : profile.rows) {
+      for (const char* name : names) {
+        if (row.name == name) total += row.exclusive_ms;
+      }
+    }
+    return total;
+  };
+  const double tolerance = 1e-6;  // ns export vs double accumulation
+  EXPECT_NEAR(span_ms({"mst_update"}), sum.mst_update_ms, tolerance);
+  EXPECT_NEAR(span_ms({"orient"}), sum.orient_ms, tolerance);
+  EXPECT_NEAR(span_ms({"conflict_maintain"}), sum.conflict_maintain_ms,
+              tolerance);
+  EXPECT_NEAR(span_ms({"conflict_query", "conflict"}), sum.conflict_query_ms,
+              tolerance);
+  EXPECT_NEAR(span_ms({"recolor", "coloring"}), sum.recolor_ms, tolerance);
+  EXPECT_NEAR(span_ms({"repair", "verify"}), sum.repair_ms, tolerance);
+  EXPECT_NEAR(span_ms({"power"}), power_ms, tolerance);
+  EXPECT_GT(sum.conflict_maintain_ms, 0.0);
 }
 
 TEST(DynamicPlanner, RejectsIllegalMutations) {

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <map>
+#include <new>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -15,7 +17,31 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/clock.h"
 #include "util/stats.h"
+
+// Bytes the calling thread allocated through the global operator new: lets
+// the tracer tests assert that a span records without allocating.
+namespace {
+thread_local std::size_t t_new_bytes = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  t_new_bytes += size;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC flags free() inside a replaced operator delete as mismatched with the
+// (replaced, malloc-backed) operator new; the pairing here is deliberate.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace wagg::obs {
 namespace {
@@ -460,6 +486,61 @@ TEST_F(TracerTest, StageSpanTilesWithoutGapOrOverlap) {
   // consecutive stages tile exactly (up to the ns -> us export rounding).
   EXPECT_NEAR(events[0].end_us, events[1].start_us, 1e-3);
   EXPECT_NEAR(events[1].end_us, events[2].start_us, 1e-3);
+}
+
+TEST_F(TracerTest, StageSpanReturnsTheRecordedDurations) {
+  Tracer& tracer = Tracer::global();
+  tracer.enable();
+  double a_ms = 0.0, b_ms = 0.0;
+  {
+    StageSpan stage("stage.a");
+    a_ms = stage.next("stage.b");
+    b_ms = stage.close();
+    EXPECT_EQ(stage.close(), 0.0);  // already closed: nothing ended
+    EXPECT_EQ(stage.next("stage.c"), 0.0);  // reopens
+  }  // destruction ends stage.c
+  tracer.disable();
+
+  const auto spans = tracer.collect();
+  ASSERT_EQ(spans.size(), 3u);
+  const auto span_ms = [](const CollectedSpan& span) {
+    return static_cast<double>(span.end_ns - span.start_ns) / 1e6;
+  };
+  // The returned ms and the recorded span come from the same clock reads.
+  EXPECT_NEAR(span_ms(spans[0]), a_ms, 1e-12);
+  EXPECT_NEAR(span_ms(spans[1]), b_ms, 1e-12);
+  EXPECT_EQ(spans[2].name, "stage.c");
+}
+
+TEST_F(TracerTest, StageSpanClocksWhileTracingIsDisabled) {
+  const auto wait_a_tick = [] {
+    const auto start = util::Clock::now();
+    while (util::Clock::now() == start) {
+    }
+  };
+  StageSpan stage("untraced.a");
+  wait_a_tick();
+  EXPECT_GT(stage.next("untraced.b"), 0.0);
+  wait_a_tick();
+  EXPECT_GT(stage.close(), 0.0);
+  EXPECT_EQ(Tracer::global().recorded_events(), 0u);
+}
+
+TEST_F(TracerTest, FirstSpanOfAWindowAllocatesNothing) {
+  // A traced window's first span must not pay for the thread's ring: the
+  // enabling thread gets it in enable(), and clear() keeps it.
+  Tracer& tracer = Tracer::global();
+  tracer.enable();
+  std::size_t before = t_new_bytes;
+  { StageSpan first("first-after-enable"); }
+  EXPECT_EQ(t_new_bytes - before, 0u);
+
+  tracer.clear();
+  before = t_new_bytes;
+  { StageSpan first("first-after-clear"); }
+  EXPECT_EQ(t_new_bytes - before, 0u);
+  tracer.disable();
+  EXPECT_EQ(tracer.recorded_events(), 1u);  // clear() dropped the first
 }
 
 // ------------------------------------------------------------ util bridges

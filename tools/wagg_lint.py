@@ -47,6 +47,14 @@ Rules (see README "Correctness tooling" for the catalogue and rationale):
                 other caller re-solves a slot repair already certified —
                 take the certificate's powers instead.
 
+  stage-clock   Calls to Clock::now( / ms_since( are forbidden in src/dynamic/,
+                src/core/ and src/conflict/conflict_index.cpp: the planner's
+                stages bill their timing fields (EpochTimings, StageTimings,
+                ConflictIndexStats::maintain_ms) from obs::StageSpan, the one
+                stage clock, so the fields and the span tree measure the same
+                intervals by construction. A private timer there would bill
+                an interval no span shows.
+
 Suppression: a line (or the line directly above it) containing
 ``wagg-lint: allow(<rule>)`` suppresses that rule on that line. Every allow
 should carry a short justification after the closing parenthesis.
@@ -208,6 +216,9 @@ CLASS_GRID_INCLUDE_RE = re.compile(
 COLD_SOLVE_RE = re.compile(r"\bpower_control_feasible\s*\(")
 COLD_SOLVE_ALLOWED = ("src/sinr/", "src/schedule/ledger.cpp",
                       "src/schedule/verify.cpp")
+STAGE_CLOCK_RE = re.compile(r"(?:\bClock::now|\bms_since)\s*\(")
+STAGE_CLOCK_SCOPE = ("src/dynamic/", "src/core/",
+                     "src/conflict/conflict_index.cpp")
 
 
 def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
@@ -225,6 +236,7 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
     in_conflict = (relpath.startswith("src/conflict/") or
                    relpath.startswith("conflict/"))
     may_cold_solve = relpath.startswith(COLD_SOLVE_ALLOWED)
+    stage_clocked = relpath.startswith(STAGE_CLOCK_SCOPE)
 
     for idx, line in enumerate(code_lines, start=1):
         if not in_obs:
@@ -266,11 +278,16 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
                    "schedule/ledger.cpp and schedule/verify.cpp: take the "
                    "powers the slot ledger certified (SlotLedger::settle "
                    "for a slot it does not cover)")
+        if stage_clocked and STAGE_CLOCK_RE.search(line):
+            report(idx, "stage-clock",
+                   "private timer in a stage-clocked file: bill the field "
+                   "from obs::StageSpan's next()/close() so the span tree "
+                   "shows the same interval")
     return findings
 
 
 ALL_RULES = {"stats-struct", "wall-clock", "naked-new", "raw-sync",
-             "class-grid", "cold-solve"}
+             "class-grid", "cold-solve", "stage-clock"}
 
 
 def lint_tree(root: Path) -> list[Finding]:
@@ -289,12 +306,14 @@ def lint_tree(root: Path) -> list[Finding]:
 # ------------------------------------------------------------- self-test
 # Fixture protocol: every file under tools/lint_fixtures/<rule>/ declares
 # its expectations on line 1:
-#   // wagg-lint-fixture: <rule> expect=<n>
+#   // wagg-lint-fixture: <rule> expect=<n> [as=<path>]
 # The self-test lints the file with ONLY that rule active (fixtures may
-# incidentally trip others) and asserts exactly n findings of it.
+# incidentally trip others) and asserts exactly n findings of it. The file
+# lints as src/<name>, or as <path> for rules scoped to part of src/.
 
 FIXTURE_RE = re.compile(
-    r"//\s*wagg-lint-fixture:\s*([a-z-]+)\s+expect=(\d+)")
+    r"//\s*wagg-lint-fixture:\s*([a-z-]+)\s+expect=(\d+)"
+    r"(?:\s+as=(\S+))?")
 
 
 def self_test(root: Path) -> int:
@@ -321,7 +340,7 @@ def self_test(root: Path) -> int:
         seen_rules.add(rule)
         # Fixtures lint as if they lived in src/ (rel path 'src/<name>'),
         # so src-scoped rules apply.
-        rel = "src/" + path.name
+        rel = m.group(3) or "src/" + path.name
         got = [f for f in lint_file(path, rel, {rule}) if f.rule == rule]
         checked += 1
         if len(got) != expected:
