@@ -5,7 +5,7 @@
 #include "bench_common.h"
 
 #include "coloring/coloring.h"
-#include "conflict/fgraph.h"
+#include "conflict/conflict_index.h"
 #include "mst/tree.h"
 #include "schedule/repair.h"
 
@@ -37,25 +37,27 @@ void BM_ConflictNaive(benchmark::State& state) {
 BENCHMARK(BM_ConflictNaive)->RangeMultiplier(4)->Range(256, 4096)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ConflictBucketed(benchmark::State& state) {
+void BM_ConflictIndexBuild(benchmark::State& state) {
   const auto pts = workload::make_family(
       "uniform", static_cast<std::size_t>(state.range(0)), 1);
   const auto tree = mst::mst_tree(pts, 0);
   const auto spec = conflict::ConflictSpec::logarithmic(2.0, 3.0);
   for (auto _ : state) {
-    const auto g = conflict::build_conflict_graph_bucketed(tree.links, spec);
+    const auto g =
+        conflict::ConflictIndex::of(tree.links).build_graph(tree.links, spec);
     benchmark::DoNotOptimize(g.num_edges());
   }
 }
-BENCHMARK(BM_ConflictBucketed)->RangeMultiplier(4)->Range(256, 16384)
+BENCHMARK(BM_ConflictIndexBuild)->RangeMultiplier(4)->Range(256, 16384)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GreedyColoring(benchmark::State& state) {
   const auto pts = workload::make_family(
       "uniform", static_cast<std::size_t>(state.range(0)), 1);
   const auto tree = mst::mst_tree(pts, 0);
-  const auto g = conflict::build_conflict_graph_bucketed(
-      tree.links, conflict::ConflictSpec::logarithmic(2.0, 3.0));
+  const auto spec = conflict::ConflictSpec::logarithmic(2.0, 3.0);
+  const auto g =
+      conflict::ConflictIndex::of(tree.links).build_graph(tree.links, spec);
   const auto order = tree.links.by_decreasing_length();
   for (auto _ : state) {
     const auto c = coloring::greedy_color(g, order);
@@ -84,7 +86,7 @@ int main(int argc, char** argv) {
   wagg::bench::print_header(
       "E12: library performance scaling",
       "google-benchmark timings; see the counters below. BM_Conflict* is the\n"
-      "naive-vs-bucketed ablation from DESIGN.md.");
+      "naive-vs-index ablation from DESIGN.md.");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

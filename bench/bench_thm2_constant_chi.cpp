@@ -6,7 +6,7 @@
 
 #include "coloring/coloring.h"
 #include "coloring/refinement.h"
-#include "conflict/fgraph.h"
+#include "conflict/conflict_index.h"
 #include "mst/tree.h"
 #include "sinr/interference.h"
 
@@ -28,8 +28,9 @@ void print_table() {
       const auto tree = mst::mst_tree(pts, 0);
       const double lemma1 = sinr::lemma1_statistic(tree.links, 3.0);
       const auto refinement = coloring::firstfit_refinement(tree.links, 3.0);
-      const auto g1 = conflict::build_conflict_graph_bucketed(
-          tree.links, conflict::ConflictSpec::constant(1.0));
+      const auto g1 = conflict::ConflictIndex::of(tree.links)
+                          .build_graph(tree.links,
+                                       conflict::ConflictSpec::constant(1.0));
       const auto colors =
           coloring::greedy_color(g1, tree.links.by_decreasing_length());
       if (first_chi < 0) first_chi = colors.num_colors;
@@ -62,8 +63,9 @@ void BM_G1Coloring(benchmark::State& state) {
   const auto pts =
       workload::make_family("uniform", static_cast<std::size_t>(state.range(0)), 1);
   const auto tree = mst::mst_tree(pts, 0);
-  const auto g1 = conflict::build_conflict_graph_bucketed(
-      tree.links, conflict::ConflictSpec::constant(1.0));
+  const auto g1 = conflict::ConflictIndex::of(tree.links)
+                      .build_graph(tree.links,
+                                   conflict::ConflictSpec::constant(1.0));
   const auto order = tree.links.by_decreasing_length();
   for (auto _ : state) {
     const auto c = coloring::greedy_color(g1, order);

@@ -43,7 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "conflict/fgraph.h"
+#include "conflict/conflict_index.h"
 #include "core/planner.h"
 #include "dynamic/dynamic_planner.h"
 #include "dynamic/mutation.h"
@@ -76,7 +76,8 @@ constexpr double kStageIdentityFloorMs = 0.002;
 // runs at ~0.2x the from-scratch rebuild baseline; losing the cache puts it
 // back at ~0.5-0.75x, reinstating the O(n) rebuild at >= 1.5x, so 0.45 fails
 // both with ~2x headroom. The dynamic-tree engine runs at a small fraction
-// of a from-scratch Prim, while a per-mutation O(n) engine sits above 0.9.
+// of a from-scratch euclidean_mst, while a per-mutation O(n) engine sits
+// above 0.9.
 constexpr double kMaxConflictShare = 0.45;
 constexpr double kMaxMstShare = 0.9;
 /// An incremental epoch must beat the session's construction epoch (a
@@ -178,9 +179,10 @@ ChurnRepeat run_churn_epochs(dynamic::DynamicPlanner& planner,
   return result;
 }
 
-/// Best-of-k from-scratch Prim wall clock — the per-epoch tree bill of a
-/// non-incremental engine, and the denominator of the portable mst_share.
-double prim_baseline_ms(const geom::Pointset& points) {
+/// Best-of-k from-scratch Euclidean MST (cone-star Prim) wall clock — the
+/// per-epoch tree bill of a non-incremental engine, and the denominator of
+/// the portable mst_share.
+double emst_baseline_ms(const geom::Pointset& points) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
     const auto start = util::Clock::now();
@@ -191,11 +193,12 @@ double prim_baseline_ms(const geom::Pointset& points) {
   return best;
 }
 
-/// Best-of-k from-scratch conflict rebuild answering `queries` rows — the
-/// pre-index per-epoch bill, and the denominator of conflict_share.
-double conflict_rebuild_baseline_ms(const dynamic::DynamicPlanner& planner,
-                                    const core::PlannerConfig& config,
-                                    std::size_t avg_dirty) {
+/// Best-of-k from-scratch conflict walk answering `queries` rows (a
+/// transient ConflictIndex over the snapshot, then its row walk) — the
+/// index-free per-epoch bill, and the denominator of conflict_share.
+double scratch_rows_baseline_ms(const dynamic::DynamicPlanner& planner,
+                                const core::PlannerConfig& config,
+                                std::size_t avg_dirty) {
   const auto& links = planner.snapshot().links;
   const auto spec = core::spec_for_mode(config);
   std::vector<std::size_t> queries(
@@ -205,7 +208,7 @@ double conflict_rebuild_baseline_ms(const dynamic::DynamicPlanner& planner,
   for (int rep = 0; rep < 5; ++rep) {
     const auto start = util::Clock::now();
     const auto rows =
-        conflict::conflict_neighbors_bucketed(links, spec, queries);
+        conflict::ConflictIndex::of(links).neighbors(links, spec, queries);
     do_not_optimize(rows.size());
     best = std::min(best, util::ms_since(start));
   }
@@ -256,7 +259,7 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
   }
 
   std::vector<ChurnRepeat> measured;
-  std::vector<double> prim_baselines, rebuild_baselines, construction_ms;
+  std::vector<double> emst_baselines, rows_baselines, construction_ms;
   for (std::size_t i = 0; i < suite.repeats; ++i) {
     auto planner = std::make_unique<dynamic::DynamicPlanner>(points, options);
     construction_ms.push_back(
@@ -274,9 +277,9 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
     const std::size_t avg_dirty =
         measured.back().dirty_links /
         std::max<std::size_t>(1, measured.back().epochs);
-    prim_baselines.push_back(prim_baseline_ms(planner->snapshot().points));
-    rebuild_baselines.push_back(
-        conflict_rebuild_baseline_ms(*planner, options.config, avg_dirty));
+    emst_baselines.push_back(emst_baseline_ms(planner->snapshot().points));
+    rows_baselines.push_back(
+        scratch_rows_baseline_ms(*planner, options.config, avg_dirty));
   }
   run.scenario.registry = obs::Registry::global().snapshot();
 
@@ -311,15 +314,12 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
     epoch_share.push_back(construction_ms[i] > 0.0
                               ? r.epoch_ms / construction_ms[i]
                               : 0.0);
-    mst_share.push_back(prim_baselines[i] > 0.0
-                            ? r.mean.mst_ms() /
-                                  prim_baselines[i]
+    mst_share.push_back(emst_baselines[i] > 0.0
+                            ? r.mean.mst_ms() / emst_baselines[i]
                             : 0.0);
-    conflict_share.push_back(
-        rebuild_baselines[i] > 0.0
-            ? r.mean.conflict_ms() /
-                  rebuild_baselines[i]
-            : 0.0);
+    conflict_share.push_back(rows_baselines[i] > 0.0
+                                 ? r.mean.conflict_ms() / rows_baselines[i]
+                                 : 0.0);
   }
   run.scenario.metrics.emplace(
       "mst_share",
@@ -690,7 +690,9 @@ int run_suite(const SuiteOptions& suite) {
         {"uniform", 256, 0.02, 0.02, 0.0, 6},
         {"uniform", 256, 0.02, 0.0, 0.02, 6},
     };
-    statics = {{"uniform", 128}, {"cluster", 128}};
+    // n2048 puts the from-scratch tree and conflict builds under the
+    // same-host back-to-back gate.
+    statics = {{"uniform", 128}, {"cluster", 128}, {"uniform", 2048}};
     service_sessions = 4;
     service_n = 128;
     service_epochs = 6;
@@ -705,8 +707,8 @@ int run_suite(const SuiteOptions& suite) {
     }
     churn.push_back({"uniform", 1024, 0.02, 0.02, 0.0, 8});
     churn.push_back({"uniform", 1024, 0.02, 0.0, 0.02, 8});
-    statics = {{"uniform", 256}, {"uniform", 1024}, {"cluster", 256},
-               {"annulus", 256}};
+    statics = {{"uniform", 256}, {"uniform", 1024}, {"uniform", 2048},
+               {"uniform", 8192}, {"cluster", 256}, {"annulus", 256}};
   }
 
   bool all_valid = true;

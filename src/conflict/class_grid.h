@@ -46,10 +46,10 @@ namespace wagg::conflict::detail {
   return static_cast<std::int64_t>(std::floor(q));
 }
 
-/// Uniform grid over the link endpoints of one power-of-two length class.
-/// Values are link identifiers (dense indices for the one-shot builders,
-/// stable LinkIds for the persistent ConflictIndex); every link contributes
-/// exactly two entries, one per endpoint.
+/// Uniform grid over the link endpoints of one power-of-two length class at
+/// one cell size (ConflictIndex keeps one per class and query scale).
+/// Values are link identifiers; every link contributes exactly two entries,
+/// one per endpoint.
 template <typename V>
 class ClassGrid {
  public:
@@ -64,7 +64,6 @@ class ClassGrid {
       cell.cy = cy;
     }
     cell.values.push_back(value);
-    ++num_values_;
   }
 
   /// Removes one (p, value) entry inserted earlier; `p` must be the exact
@@ -83,84 +82,44 @@ class ClassGrid {
     *pos = bucket.back();
     bucket.pop_back();
     if (bucket.empty()) cells_.erase(it);
-    --num_values_;
   }
 
-  /// Collects values with an endpoint within `radius` of p (over-approximate:
-  /// visits all cells intersecting the bounding square).
-  void query(const geom::Point& p, double radius,
-             std::vector<V>& out) const {
-    const auto [cx, cy] = coords(p);
-    const std::int64_t reach = reach_of(radius);
-    for (std::int64_t dx = -reach; dx <= reach; ++dx) {
-      for (std::int64_t dy = -reach; dy <= reach; ++dy) {
-        const auto it = cells_.find(cell_key(cx + dx, cy + dy));
-        if (it == cells_.end()) continue;
-        out.insert(out.end(), it->second.values.begin(),
-                   it->second.values.end());
+  /// Collects the values of every cell meeting the square of half-width
+  /// `radius` around `a` or around `b` (over-approximate, cell granularity,
+  /// possibly with duplicates) and returns the number of cells looked up.
+  /// When walking the two squares would touch more cells than the grid
+  /// occupies, it scans the occupied cells instead and keeps each by the
+  /// SAME cell-coordinate criterion, so both paths collect the identical
+  /// set.
+  std::size_t collect(const geom::Point& a, const geom::Point& b,
+                      double radius, std::vector<V>& out) const {
+    const Box box_a = box_of(a, radius);
+    const Box box_b = box_of(b, radius);
+    if (box_a.cells() + box_b.cells() >
+        static_cast<double>(cells_.size()) + 64.0) {
+      for (const auto& [k, cell] : cells_) {
+        if (box_a.contains(cell.cx, cell.cy) ||
+            box_b.contains(cell.cx, cell.cy)) {
+          out.insert(out.end(), cell.values.begin(), cell.values.end());
+        }
+      }
+      return cells_.size();
+    }
+    std::size_t probes = 0;
+    for (const Box* box : {&box_a, &box_b}) {
+      for (std::int64_t x = box->x0; x <= box->x1; ++x) {
+        for (std::int64_t y = box->y0; y <= box->y1; ++y) {
+          if (box == &box_b && box_a.contains(x, y)) continue;
+          ++probes;
+          const auto it = cells_.find(cell_key(x, y));
+          if (it == cells_.end()) continue;
+          out.insert(out.end(), it->second.values.begin(),
+                     it->second.values.end());
+        }
       }
     }
+    return probes;
   }
-
-  /// Collects values with an endpoint within `radius` of `a` OR of `b`
-  /// (over-approximate, cell granularity — the union of two query() calls,
-  /// possibly with duplicates). Unlike query(), this stays cheap for radii
-  /// spanning many cells: when walking the two bounding squares would touch
-  /// more cells than the class occupies, it scans the occupied cells and
-  /// prunes each by the SAME cell-coordinate criterion the walk uses, so
-  /// both paths produce the identical candidate set.
-  void collect(const geom::Point& a, const geom::Point& b, double radius,
-               std::vector<V>& out) const {
-    if (2.0 * query_cost(radius) <=
-        static_cast<double>(cells_.size()) + 64.0) {
-      query(a, radius, out);
-      query(b, radius, out);
-      return;
-    }
-    const auto [ax, ay] = coords(a);
-    const auto [bx, by] = coords(b);
-    const std::int64_t reach = reach_of(radius);
-    // Interval bounds instead of |c - p| <= reach: coordinates saturate to
-    // +-2^62 and reach is clamped below 2^62, so p +- reach stays within
-    // int64 range, whereas the subtraction could overflow for opposite-side
-    // saturated operands.
-    const std::int64_t axl = ax - reach, axh = ax + reach;
-    const std::int64_t ayl = ay - reach, ayh = ay + reach;
-    const std::int64_t bxl = bx - reach, bxh = bx + reach;
-    const std::int64_t byl = by - reach, byh = by + reach;
-    for (const auto& [k, cell] : cells_) {
-      const bool near_a = cell.cx >= axl && cell.cx <= axh &&
-                          cell.cy >= ayl && cell.cy <= ayh;
-      const bool near_b = cell.cx >= bxl && cell.cx <= bxh &&
-                          cell.cy >= byl && cell.cy <= byh;
-      if (!near_a && !near_b) continue;
-      out.insert(out.end(), cell.values.begin(), cell.values.end());
-    }
-  }
-
-  /// Number of cells a query of this radius would visit.
-  [[nodiscard]] double query_cost(double radius) const {
-    const double reach = radius / cell_ + 1.0;
-    return (2.0 * reach + 1.0) * (2.0 * reach + 1.0);
-  }
-
-  /// Collects every value in the class (linear scan fallback).
-  void all(std::vector<V>& out) const {
-    for (const auto& [k, cell] : cells_) {
-      out.insert(out.end(), cell.values.begin(), cell.values.end());
-    }
-  }
-
-  /// Entries stored (two per link: one per endpoint).
-  [[nodiscard]] std::size_t num_values() const noexcept { return num_values_; }
-  /// Links stored.
-  [[nodiscard]] std::size_t num_links() const noexcept {
-    return num_values_ / 2;
-  }
-  [[nodiscard]] std::size_t num_cells() const noexcept {
-    return cells_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return num_values_ == 0; }
 
  private:
   /// One occupied cell; the coordinates allow distance pruning when
@@ -172,8 +131,25 @@ class ClassGrid {
     std::vector<V> values;
   };
 
-  [[nodiscard]] std::int64_t reach_of(double radius) const {
-    return static_cast<std::int64_t>(std::min(radius / cell_, 4.0e18)) + 1;
+  /// Inclusive cell-coordinate rectangle.
+  struct Box {
+    std::int64_t x0, x1, y0, y1;
+    [[nodiscard]] double cells() const {
+      return (static_cast<double>(x1) - static_cast<double>(x0) + 1.0) *
+             (static_cast<double>(y1) - static_cast<double>(y0) + 1.0);
+    }
+    [[nodiscard]] bool contains(std::int64_t x, std::int64_t y) const {
+      return x >= x0 && x <= x1 && y >= y0 && y <= y1;
+    }
+  };
+
+  /// Cells meeting the square [p - radius, p + radius]^2. Coordinates
+  /// saturate, so the bounds stay inside int64 for any radius.
+  [[nodiscard]] Box box_of(const geom::Point& p, double radius) const {
+    return {saturating_cell((p.x - radius - origin_x_) / cell_),
+            saturating_cell((p.x + radius - origin_x_) / cell_),
+            saturating_cell((p.y - radius - origin_y_) / cell_),
+            saturating_cell((p.y + radius - origin_y_) / cell_)};
   }
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> coords(
       const geom::Point& p) const {
@@ -188,7 +164,6 @@ class ClassGrid {
   double cell_;
   double origin_x_;
   double origin_y_;
-  std::size_t num_values_ = 0;
   std::unordered_map<std::uint64_t, Cell> cells_;
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -28,22 +28,46 @@ ConflictIndex::Entry& ConflictIndex::checked(geom::LinkId id) {
   return entries_[static_cast<std::size_t>(id)];
 }
 
-void ConflictIndex::grid_insert(const Entry& entry, geom::LinkId id) {
-  auto [it, inserted] = classes_.try_emplace(
-      entry.cls, std::exp2(static_cast<double>(entry.cls)), origin_x_,
-      origin_y_);
-  it->second.insert(entry.sender, id);
-  it->second.insert(entry.receiver, id);
+void ConflictIndex::grid_insert(Entry& entry, geom::LinkId id) {
+  auto& length_class = classes_[entry.cls];
+  entry.class_slot = length_class.members.size();
+  length_class.members.push_back(id);
+  for (auto& [k, grid] : length_class.levels) {
+    grid.insert(entry.sender, id);
+    grid.insert(entry.receiver, id);
+  }
 }
 
 void ConflictIndex::grid_erase(const Entry& entry, geom::LinkId id) {
   const auto it = classes_.find(entry.cls);
   if (it == classes_.end()) {
-    throw std::logic_error("ConflictIndex: class grid missing for live link");
+    throw std::logic_error("ConflictIndex: class missing for live link");
   }
-  it->second.erase(entry.sender, id);
-  it->second.erase(entry.receiver, id);
-  if (it->second.empty()) classes_.erase(it);
+  auto& length_class = it->second;
+  for (auto& [k, grid] : length_class.levels) {
+    grid.erase(entry.sender, id);
+    grid.erase(entry.receiver, id);
+  }
+  auto& members = length_class.members;
+  const geom::LinkId moved = members.back();
+  members[entry.class_slot] = moved;
+  entries_[static_cast<std::size_t>(moved)].class_slot = entry.class_slot;
+  members.pop_back();
+  if (members.empty()) classes_.erase(it);
+}
+
+const detail::ClassGrid<geom::LinkId>& ConflictIndex::level(
+    LengthClass& length_class, int k) const {
+  auto [it, inserted] = length_class.levels.try_emplace(
+      k, std::exp2(static_cast<double>(k)), origin_x_, origin_y_);
+  if (inserted) {
+    for (const geom::LinkId id : length_class.members) {
+      const Entry& entry = entries_[static_cast<std::size_t>(id)];
+      it->second.insert(entry.sender, id);
+      it->second.insert(entry.receiver, id);
+    }
+  }
+  return it->second;
 }
 
 bool ConflictIndex::conflicting_entries(const Entry& a,
@@ -61,88 +85,89 @@ bool ConflictIndex::conflicting_entries(const Entry& a,
   return d / lmin <= cached_spec_.f(lmax / lmin);
 }
 
-void ConflictIndex::collect_candidates(const geom::Point& sender,
-                                       const geom::Point& receiver,
-                                       double length, bool prune,
-                                       std::vector<geom::LinkId>& out) const {
-  out.clear();
+void ConflictIndex::walk(const Entry& e, geom::LinkId self, bool one_sided,
+                         std::vector<geom::LinkId>& out) const {
   if (stamp_.size() < entries_.size()) stamp_.resize(entries_.size(), 0);
   const std::uint64_t serial = ++stamp_serial_;
+  std::uint64_t probes = 0;
   std::uint64_t dedupe = 0;
   std::uint64_t pruned = 0;
-  auto& candidates = candidates_scratch_;
-  for (const auto& [cs, grid] : classes_) {
-    // Two-sided bound, identical to conflict_neighbors_bucketed but with
-    // ABSOLUTE class bounds: partner j in class cs has
-    // class_lo <= l_j < class_hi, so conflict requires
-    //   d(q, j) <= lmin_pair * f(lmax_pair / lmin_pair)
-    // with lmin_pair <= min(lq, class_hi) and the ratio at most x_max;
-    // f non-decreasing makes the radius an over-approximation of every
-    // pair. Guard formula matches the one-shot builders exactly so
-    // threshold ties agree across all three.
+  std::uint64_t reached = 0;
+  auto& cells = candidates_scratch_;
+  const double length = e.length;
+  for (auto it = one_sided ? classes_.lower_bound(e.cls) : classes_.begin();
+       it != classes_.end(); ++it) {
+    const int cs = it->first;
+    // Partner j in class cs has class_lo <= l_j < class_hi, so conflict
+    // needs d <= lmin * f(lmax / lmin) with lmin = min(l_q, l_j) and the
+    // ratio at most x_max: f non-decreasing makes `radius` cover every
+    // pair, and `guard` absorbs rounding at exact-threshold ties.
     const double class_lo = std::exp2(static_cast<double>(cs));
     const double class_hi = 2.0 * class_lo;
-    const double x_max = std::max({1.0, length / class_lo,
-                                   class_hi / length});
-    const double radius = std::min(length, class_hi) * cached_spec_.f(x_max) +
-                          1e-12 * std::max(length, class_hi);
-    // The exact-distance prune needs its own RELATIVE slack: for specs
-    // with large f the absolute 1e-12 * max(...) term can fall below one
-    // ulp of the radius product, and a threshold pair the exact predicate
-    // accepts (its comparison carries ~ulp rounding of its own) would be
-    // pruned. The cell-granularity collect is immune — it always has a
-    // full cell of slack — so only the squared threshold is inflated.
-    const double prune_radius = radius * (1.0 + 4e-12);
-    const double radius2 = prune_radius * prune_radius;
-    candidates.clear();
-    grid.collect(sender, receiver, radius, candidates);
-    for (const geom::LinkId id : candidates) {
+    const double f_max =
+        cached_spec_.f(std::max({1.0, length / class_lo, class_hi / length}));
+    const double guard = 1e-12 * std::max(length, class_hi);
+    const double radius = std::min(length, class_hi) * f_max + guard;
+    // Read the grid whose cell is 2-4x the radius, so each endpoint's
+    // square meets at most 2x2 cells; past 40 octaves above the class,
+    // collect() scans the occupied cells instead. Clamping before the +2
+    // keeps an infinite radius (ilogb = INT_MAX) defined, and the cap keeps
+    // the cell 2^k finite.
+    const int k = std::min(std::clamp(std::ilogb(radius), cs - 2, cs + 38) + 2,
+                           std::numeric_limits<double>::max_exponent - 1);
+    cells.clear();
+    probes += level(it->second, k).collect(e.sender, e.receiver, radius,
+                                           cells);
+    for (const geom::LinkId id : cells) {
       const auto slot = static_cast<std::size_t>(id);
-      if (stamp_[slot] == serial) {  // seen via the other endpoint
+      if (stamp_[slot] == serial) {  // seen via another endpoint or cell
         ++dedupe;
         continue;
       }
       stamp_[slot] = serial;
-      if (prune) {
-        // Cheap squared-distance prune before the exact predicate: the
-        // radius over-approximates every conflict distance for this class,
-        // so anything farther cannot conflict. Overflowing products land on
-        // +inf and the comparison keeps the pair (the exact predicate is
-        // overflow-safe), never drops it.
-        const Entry& entry = entries_[slot];
-        const double d2 =
-            std::min(std::min(geom::squared_distance(sender, entry.sender),
-                              geom::squared_distance(sender, entry.receiver)),
-                     std::min(geom::squared_distance(receiver, entry.sender),
-                              geom::squared_distance(receiver,
-                                                     entry.receiver)));
-        if (d2 > radius2) {
-          ++pruned;
-          continue;
-        }
+      if (id == self || (one_sided && cs == e.cls && id < self)) continue;
+      // Per-pair prune: d > lmin * f_max (+ guard) rules the pair out; the
+      // relative slack covers the exact predicate's own rounding, and an
+      // overflowing product keeps the pair for the overflow-safe predicate.
+      const Entry& other = entries_[slot];
+      const double reach =
+          (std::min(length, other.length) * f_max + guard) * (1.0 + 4e-12);
+      const double d2 =
+          std::min(std::min(geom::squared_distance(e.sender, other.sender),
+                            geom::squared_distance(e.sender, other.receiver)),
+                   std::min(geom::squared_distance(e.receiver, other.sender),
+                            geom::squared_distance(e.receiver,
+                                                   other.receiver)));
+      if (d2 > reach * reach) {
+        ++pruned;
+        continue;
       }
-      out.push_back(id);
+      ++reached;
+      if (conflicting_entries(e, other)) out.push_back(id);
     }
   }
+  cell_probes_.add(probes);
   if (dedupe != 0) dedupe_hits_.add(dedupe);
-  if (pruned != 0) cells_pruned_.add(pruned);
+  if (pruned != 0) candidates_pruned_.add(pruned);
+  if (reached != 0) candidates_.add(reached);
 }
 
 std::vector<geom::LinkId> ConflictIndex::compute_row(geom::LinkId id) const {
-  const auto slot = static_cast<std::size_t>(id);
-  const Entry& e = entries_[slot];
-  collect_candidates(e.sender, e.receiver, e.length, /*prune=*/true,
-                     row_scratch_);
   std::vector<geom::LinkId> row;
-  row.reserve(row_scratch_.size());
-  for (const geom::LinkId cid : row_scratch_) {
-    if (cid == id) continue;  // a link's own endpoints are grid candidates
-    if (conflicting_entries(e, entries_[static_cast<std::size_t>(cid)])) {
-      row.push_back(cid);
-    }
-  }
+  walk(entries_[static_cast<std::size_t>(id)], id, /*one_sided=*/false, row);
   std::sort(row.begin(), row.end());
   return row;
+}
+
+void ConflictIndex::use_spec(const ConflictSpec& spec) const {
+  // The cache is keyed to one spec at a time: another spec flushes every
+  // materialized row. cached_spec_ is also what the mutation-path
+  // maintenance and the walk evaluate against.
+  if (!cache_enabled_ || !(spec == cached_spec_)) {
+    flush_rows(row_invalidations_);
+    cached_spec_ = spec;
+    cache_enabled_ = true;
+  }
 }
 
 void ConflictIndex::store_row(geom::LinkId id,
@@ -262,8 +287,10 @@ ConflictIndexStats ConflictIndex::stats() const noexcept {
   s.reclasses = reclasses_;
   s.maintain_ms = maintain_ms_;
   s.rows_queried = rows_queried_.load();
+  s.cell_probes = cell_probes_.load();
   s.dedupe_hits = dedupe_hits_.load();
-  s.cells_pruned = cells_pruned_.load();
+  s.candidates_pruned = candidates_pruned_.load();
+  s.candidates = candidates_.load();
   s.row_cache_hits = row_hits_.load();
   s.row_cache_misses = row_misses_.load();
   s.row_cache_patches = row_patches_;
@@ -271,6 +298,36 @@ ConflictIndexStats ConflictIndex::stats() const noexcept {
   s.row_cache_evictions = row_evictions_.load();
   s.rows_cached = rows_live_;
   return s;
+}
+
+void ConflictIndex::insert_entry(geom::LinkId id, const geom::Point& sender,
+                                 const geom::Point& receiver, double length) {
+  if (entries_.size() <= static_cast<std::size_t>(id)) {
+    entries_.resize(static_cast<std::size_t>(id) + 1);
+  }
+  if (!have_origin_) {
+    origin_x_ = sender.x;
+    origin_y_ = sender.y;
+    have_origin_ = true;
+  }
+  auto& entry = entries_[static_cast<std::size_t>(id)];
+  entry = Entry{sender, receiver, length, class_of(length), 0, true};
+  grid_insert(entry, id);
+  ++live_;
+}
+
+ConflictIndex ConflictIndex::of(const geom::LinkView& links) {
+  ConflictIndex index;
+  index.row_cache_entry_cap_ = 0;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    if (!(links.length(i) > 0.0)) {
+      throw std::invalid_argument(
+          "ConflictIndex::of: lengths must be positive");
+    }
+    index.insert_entry(links.id_of(i), links.sender_pos(i),
+                       links.receiver_pos(i), links.length(i));
+  }
+  return index;
 }
 
 void ConflictIndex::add(geom::LinkId id, const geom::Point& sender,
@@ -285,58 +342,47 @@ void ConflictIndex::add(geom::LinkId id, const geom::Point& sender,
   if (contains(id)) {
     throw std::invalid_argument("ConflictIndex::add: id already present");
   }
-  if (entries_.size() <= static_cast<std::size_t>(id)) {
-    entries_.resize(static_cast<std::size_t>(id) + 1);
-  }
-  if (!have_origin_) {
-    origin_x_ = sender.x;
-    origin_y_ = sender.y;
-    have_origin_ = true;
-  }
-  auto& entry = entries_[static_cast<std::size_t>(id)];
-  entry = Entry{sender, receiver, length, class_of(length), true};
-  grid_insert(entry, id);
-  ++live_;
-  // Diff-maintain the row cache: the new link belongs in exactly the rows
-  // of its own conflict partners (conflict(y, z) depends only on y and z's
-  // geometry, so no other row can change). Computing the row once serves
-  // both the symmetric patches and the link's own materialized row. Gated
-  // on the cache holding anything at all so bulk re-seeds (clear() + adds,
-  // with zero rows standing) stay pure grid inserts.
-  if (rows_live_ > 0) {
-    auto fresh = compute_row(id);
-    patch_insert(fresh, id);
-    store_row(id, std::move(fresh));
-    maybe_evict();
-  }
+  insert_entry(id, sender, receiver, length);
+  // While no row is cached, bulk re-seeds (clear() + adds) stay pure grid
+  // inserts.
+  if (rows_live_ > 0) link_rows(id);
   ++adds_;
   maintain_ms_ += span.close();
+}
+
+void ConflictIndex::unlink_rows(geom::LinkId id) {
+  if (rows_live_ == 0) return;
+  // Erase the link from every cached row containing it: its own cached row
+  // names them exactly; without one, its row over the current geometry.
+  const auto slot = static_cast<std::size_t>(id);
+  if (slot < rows_.size() && rows_[slot].cached) {
+    auto& row = rows_[slot];
+    std::vector<geom::LinkId> targets = std::move(row.ids);
+    row.ids.clear();
+    row.cached = false;
+    cached_entries_ -= targets.size();
+    --rows_live_;
+    row_invalidations_.add(1);
+    patch_erase(targets, id);
+  } else {
+    patch_erase(compute_row(id), id);
+  }
+}
+
+void ConflictIndex::link_rows(geom::LinkId id) {
+  // The link belongs in exactly the rows of its own partners (conflict(y,
+  // z) depends only on y and z), so one row serves both the symmetric
+  // patches and its own materialized row.
+  auto fresh = compute_row(id);
+  patch_insert(fresh, id);
+  store_row(id, std::move(fresh));
+  maybe_evict();
 }
 
 void ConflictIndex::remove(geom::LinkId id) {
   obs::StageSpan span("conflict_maintain");
   auto& entry = checked(id);
-  if (rows_live_ > 0) {
-    // Erase the link from every cached row containing it. Its own cached
-    // row names those rows exactly; without one, a grid probe over the
-    // current geometry bounds them (a superset — patch_erase no-ops on rows
-    // not holding the id).
-    const auto slot = static_cast<std::size_t>(id);
-    if (slot < rows_.size() && rows_[slot].cached) {
-      auto& row = rows_[slot];
-      std::vector<geom::LinkId> targets = std::move(row.ids);
-      row.ids.clear();
-      row.cached = false;
-      cached_entries_ -= targets.size();
-      --rows_live_;
-      row_invalidations_.add(1);
-      patch_erase(targets, id);
-    } else {
-      collect_candidates(entry.sender, entry.receiver, entry.length,
-                         /*prune=*/false, row_scratch_);
-      patch_erase(row_scratch_, id);
-    }
-  }
+  unlink_rows(id);
   grid_erase(entry, id);
   entry.live = false;
   --live_;
@@ -352,62 +398,18 @@ void ConflictIndex::update(geom::LinkId id, const geom::Point& sender,
         "ConflictIndex::update: length must be positive");
   }
   auto& entry = checked(id);
-  if (entry.sender == sender && entry.receiver == receiver &&
-      entry.length == length) {
-    // Bit-identical geometry (the store's set_length + touch refresh double
-    // fires here): no cell and no row can change.
-    ++updates_;
-    maintain_ms_ += span.close();
-    return;
-  }
-  const bool rows_active = rows_live_ > 0;
-  if (rows_active) {
-    // Erase phase against the OLD geometry (see remove()).
-    const auto slot = static_cast<std::size_t>(id);
-    if (slot < rows_.size() && rows_[slot].cached) {
-      auto& row = rows_[slot];
-      std::vector<geom::LinkId> targets = std::move(row.ids);
-      row.ids.clear();
-      row.cached = false;
-      cached_entries_ -= targets.size();
-      --rows_live_;
-      row_invalidations_.add(1);
-      patch_erase(targets, id);
-    } else {
-      collect_candidates(entry.sender, entry.receiver, entry.length,
-                         /*prune=*/false, row_scratch_);
-      patch_erase(row_scratch_, id);
-    }
-  }
-  const int cls = class_of(length);
-  const bool moved =
-      entry.sender != sender || entry.receiver != receiver;
-  if (cls == entry.cls) {
-    // Lazy re-classing: the length stayed inside its power-of-two class, so
-    // only the endpoint cells can need refreshing.
-    if (moved) {
-      auto& grid = classes_.at(entry.cls);
-      grid.erase(entry.sender, id);
-      grid.erase(entry.receiver, id);
-      grid.insert(sender, id);
-      grid.insert(receiver, id);
-    }
-    entry.sender = sender;
-    entry.receiver = receiver;
-    entry.length = length;
-  } else {
+  // A bit-identical refresh (the store's set_length + touch double fire)
+  // changes no cell and no row.
+  if (entry.sender != sender || entry.receiver != receiver ||
+      entry.length != length) {
+    const bool rows_active = rows_live_ > 0;
+    unlink_rows(id);  // against the OLD geometry
+    const int cls = class_of(length);
+    if (cls != entry.cls) ++reclasses_;
     grid_erase(entry, id);
-    entry = Entry{sender, receiver, length, cls, true};
+    entry = Entry{sender, receiver, length, cls, 0, true};
     grid_insert(entry, id);
-    ++reclasses_;
-  }
-  if (rows_active) {
-    // Insert phase against the NEW geometry: one probe serves both the
-    // symmetric neighbor patches and the link's own rematerialized row.
-    auto fresh = compute_row(id);
-    patch_insert(fresh, id);
-    store_row(id, std::move(fresh));
-    maybe_evict();
+    if (rows_active) link_rows(id);  // against the NEW geometry
   }
   ++updates_;
   maintain_ms_ += span.close();
@@ -420,40 +422,40 @@ void ConflictIndex::clear() {
   live_ = 0;
 }
 
+void ConflictIndex::map_view(const geom::LinkView& links) const {
+  if (links.size() != live_) {
+    throw std::logic_error(
+        "ConflictIndex: view holds " + std::to_string(links.size()) +
+        " links, index holds " + std::to_string(live_) +
+        " — not a snapshot of the mirrored store");
+  }
+  // Only the view's ids are written: rows name live links alone, and the
+  // view holds every live link, so stale slots are never read.
+  if (dense_scratch_.size() < entries_.size()) {
+    dense_scratch_.resize(entries_.size());
+  }
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const geom::LinkId id = links.id_of(i);
+    if (!contains(id)) {
+      throw std::logic_error(
+          "ConflictIndex: view link absent from the index — not a snapshot "
+          "of the mirrored store");
+    }
+    dense_scratch_[static_cast<std::size_t>(id)] =
+        static_cast<std::int32_t>(i);
+  }
+}
+
 std::vector<std::vector<std::int32_t>> ConflictIndex::neighbors(
     const geom::LinkView& links, const ConflictSpec& spec,
     std::span<const std::size_t> queries) const {
   spec.validate();
-  if (links.size() != live_) {
-    throw std::logic_error(
-        "ConflictIndex::neighbors: view holds " +
-        std::to_string(links.size()) + " links, index holds " +
-        std::to_string(live_) + " — not a snapshot of the mirrored store");
-  }
+  map_view(links);
   std::vector<std::vector<std::int32_t>> result(queries.size());
   if (live_ < 2) return result;
 
-  // The cache is keyed to one spec at a time: a query under a different
-  // spec flushes every materialized row. cached_spec_ is also what the
-  // mutation-path maintenance and compute_row evaluate against, so it must
-  // be synced before any row work below.
-  if (!cache_enabled_ || !(spec == cached_spec_)) {
-    flush_rows(row_invalidations_);
-    cached_spec_ = spec;
-    cache_enabled_ = true;
-  }
-
-  // Dense index of a stable id: the snapshot's dense order is increasing id.
-  const auto link_ids = links.ids();
-  const auto dense_of = [&](geom::LinkId id) {
-    const auto it = std::lower_bound(link_ids.begin(), link_ids.end(), id);
-    if (it == link_ids.end() || *it != id) {
-      throw std::logic_error(
-          "ConflictIndex::neighbors: indexed link absent from the view");
-    }
-    return static_cast<std::int32_t>(it - link_ids.begin());
-  };
-
+  use_spec(spec);
+  const auto& dense = dense_scratch_;
   rows_queried_.add(static_cast<std::uint64_t>(queries.size()));
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -461,11 +463,6 @@ std::vector<std::vector<std::int32_t>> ConflictIndex::neighbors(
   std::vector<geom::LinkId> fresh;
   for (std::size_t k = 0; k < queries.size(); ++k) {
     const geom::LinkId id = links.id_of(queries[k]);
-    if (!contains(id)) {
-      throw std::logic_error(
-          "ConflictIndex::neighbors: view link absent from the index — not "
-          "a snapshot of the mirrored store");
-    }
     const auto slot = static_cast<std::size_t>(id);
     const std::vector<geom::LinkId>* ids = nullptr;
     if (slot < rows_.size() && rows_[slot].cached) {
@@ -483,11 +480,12 @@ std::vector<std::vector<std::int32_t>> ConflictIndex::neighbors(
       }
     }
     // Rows are sorted in id-space and dense order is increasing id, so the
-    // translated row comes out sorted — byte-identical to the one-shot
-    // builders' dense rows.
+    // translated row comes out sorted.
     auto& out = result[k];
     out.reserve(ids->size());
-    for (const geom::LinkId nid : *ids) out.push_back(dense_of(nid));
+    for (const geom::LinkId nid : *ids) {
+      out.push_back(dense[static_cast<std::size_t>(nid)]);
+    }
   }
   if (hits != 0) row_hits_.add(hits);
   if (misses != 0) row_misses_.add(misses);
@@ -497,23 +495,53 @@ std::vector<std::vector<std::int32_t>> ConflictIndex::neighbors(
 
 Graph ConflictIndex::build_graph(const geom::LinkView& links,
                                  const ConflictSpec& spec) const {
+  spec.validate();
+  map_view(links);
   Graph graph(links.size());
-  if (links.size() < 2) {
-    graph.finalize();
-    return graph;
-  }
-  std::vector<std::size_t> all(links.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  const auto rows = neighbors(links, spec, all);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    for (const std::int32_t j : rows[i]) {
-      // Every edge surfaces from both endpoints; keep the i < j sighting.
-      if (static_cast<std::size_t>(j) > i) {
-        graph.add_edge(i, static_cast<std::size_t>(j));
+  use_spec(spec);
+  const auto& dense = dense_scratch_;
+  // Each unordered pair is emitted once, by its shorter side (lower class,
+  // then lower id): a cached row hands over the partners it owns, an
+  // uncached one walks just those (longer classes, later ids of its own).
+  std::uint64_t hits = 0;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const geom::LinkId id = links.id_of(i);
+    const auto slot = static_cast<std::size_t>(id);
+    const Entry& e = entries_[slot];
+    const bool cached = slot < rows_.size() && rows_[slot].cached;
+    if (cached) {
+      ++hits;
+      rows_[slot].last_used = ++use_serial_;
+    } else {
+      row_scratch_.clear();
+      walk(e, id, /*one_sided=*/true, row_scratch_);
+    }
+    for (const geom::LinkId j : cached ? rows_[slot].ids : row_scratch_) {
+      const Entry& other = entries_[static_cast<std::size_t>(j)];
+      if (!cached || other.cls > e.cls || (other.cls == e.cls && j > id)) {
+        graph.add_edge(i, static_cast<std::size_t>(
+                              dense[static_cast<std::size_t>(j)]));
       }
     }
   }
   graph.finalize();
+  rows_queried_.add(static_cast<std::uint64_t>(links.size()));
+  if (hits != 0) row_hits_.add(hits);
+  if (hits != links.size()) row_misses_.add(links.size() - hits);
+  if (row_cache_entry_cap_ > 0) {
+    // Materialize the walked rows: the graph now holds both halves.
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      const auto slot = static_cast<std::size_t>(links.id_of(i));
+      if (slot < rows_.size() && rows_[slot].cached) continue;
+      std::vector<geom::LinkId> ids;
+      ids.reserve(graph.degree(i));
+      for (const std::int32_t j : graph.neighbors(i)) {
+        ids.push_back(links.id_of(static_cast<std::size_t>(j)));
+      }
+      store_row(links.id_of(i), std::move(ids));
+    }
+    maybe_evict();
+  }
   return graph;
 }
 

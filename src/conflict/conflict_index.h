@@ -54,12 +54,15 @@ struct ConflictIndexStats {
   double maintain_ms = 0.0;
   /// Rows answered — one per query index across all neighbors() calls.
   std::uint64_t rows_queried = 0;
-  /// Grid candidates skipped because the visit stamp already saw them via
-  /// the other endpoint bucket of the same row computation.
+  /// Grid cells the walk looked up (or scanned, on an occupied-cell scan).
+  std::uint64_t cell_probes = 0;
+  /// Grid entries skipped as already seen in the same row computation.
   std::uint64_t dedupe_hits = 0;
-  /// Candidates rejected by the squared-distance prune before the exact
-  /// conflict predicate ran.
-  std::uint64_t cells_pruned = 0;
+  /// Distinct links rejected by the per-pair prune.
+  std::uint64_t candidates_pruned = 0;
+  /// Distinct links that reached the exact conflict predicate (a
+  /// from-scratch build_graph examines each unordered pair once).
+  std::uint64_t candidates = 0;
   // ---- materialized row cache ----
   /// Queries served as an O(row) copy of a cached id-space row.
   std::uint64_t row_cache_hits = 0;
@@ -77,62 +80,55 @@ struct ConflictIndexStats {
   std::size_t rows_cached = 0;
 };
 
-/// A persistent, mutation-aware version of the per-length-class bucket grids
-/// that build_conflict_graph_bucketed / conflict_neighbors_bucketed erect
-/// from scratch on every call. The index lives alongside a geom::LinkStore
-/// across epochs and is maintained under add / remove / update by stable
-/// LinkId, so a dynamic planner answers dirty-row conflict queries with ZERO
-/// per-epoch rebuild — O(dirty) queries against standing state instead of an
-/// O(n) grid construction.
+/// The one conflict-graph builder: per-length-class endpoint grids kept
+/// alongside a geom::LinkStore across epochs and maintained under add /
+/// remove / update by stable LinkId. A dynamic planner answers dirty-row
+/// queries against standing state, a full replan builds G_f from it, and
+/// core::schedule_links without an index builds a transient one (of()).
 ///
-/// Length classes are anchored to ABSOLUTE lengths: class c holds links with
-/// length in [2^c, 2^(c+1)), cell size 2^c. The one-shot builders anchor to
-/// the instance's min_length, which drifts under churn — an absolute anchor
-/// means a link is re-classed only when ITS OWN length crosses a power of
-/// two (lazy re-classing: update() moves it between grids just then), never
-/// because some other link shrank the global minimum. Query radii are
-/// computed from each class's actual absolute bounds, so the answers are
-/// identical to the from-scratch builders (property-tested; audit mode
-/// cross-checks every epoch).
+/// Classes are anchored to ABSOLUTE lengths — class c holds lengths in
+/// [2^c, 2^(c+1)) — so a link is re-classed only when its own length
+/// crosses a power of two, never because another link moved the minimum.
 ///
-/// On top of the grids the index keeps a MATERIALIZED ROW CACHE: the exact
-/// id-space conflict row of a link under the spec of the most recent query,
-/// maintained by DIFF on the mutation path. conflict(y, z) depends only on
-/// the geometry of y and z, so a mutation at link x can change only rows
-/// containing x: add/update compute x's new row once (one grid probe) and
-/// insert x into the cached rows of exactly those partners; remove/update
-/// erase x from the cached rows it sat in (x's own cached row names them
-/// exactly; a grid probe over the OLD geometry bounds them otherwise). An
-/// epoch with k mutations therefore touches O(k · row-degree) cache entries,
-/// and neighbors() serves every unchanged dirty row — notably links dirtied
-/// only by orientation flips, which never reach the index — as an O(row)
-/// copy instead of a grid probe. Rows live in id-space (dense indices are
-/// per-epoch) and are translated through the view at query time; id order
-/// equals dense order, so translated rows stay sorted. The cache is keyed to
-/// one ConflictSpec at a time: a query under a different spec flushes it.
-/// Capacity is bounded by a total-entry cap with deterministic
-/// least-recently-used eviction (recency is a monotone use serial, never
-/// wall clock, so runs replay bit-identically).
+/// The candidate walk is output-sensitive. Per class, the two-sided radius
+/// min(l_q, class_hi) * f(x_max) covers every partner; each class keeps one
+/// grid per cell size 2^k, built on first use, and the walk reads the one
+/// whose cell is 2-4x the radius, so it looks up at most four cells per
+/// endpoint whatever the length ratio. A per-pair prune, d > min(l_q, l_j) *
+/// f(x_max), runs before the exact predicate. build_graph walks each
+/// uncached row only toward the pairs it owns (longer classes, later ids of
+/// its own class), skipping the widest radii altogether.
 ///
-/// The index stores endpoint positions by value: the owning planner feeds
-/// them in on every geometry change (LinkStore carries node ids, not
-/// positions). Queries take the per-epoch geom::LinkView snapshot of the
-/// same store — the view supplies the dense-index space of the answer rows;
-/// its geometry must be bit-identical to the mirrored columns (both sides of
-/// the planner copy the same coordinates), which audit mode re-checks every
-/// epoch by comparing against the view-based from-scratch builder.
+/// On top of the grids sits a MATERIALIZED ROW CACHE: each link's exact
+/// id-space row under the most recent query's spec, maintained by DIFF on
+/// the mutation path. conflict(y, z) depends only on y and z, so a mutation
+/// at x changes only rows containing x: add/update insert x into its new
+/// partners' rows, remove/update erase it from the old ones (its own cached
+/// row names them; otherwise its row is recomputed over the old geometry).
+/// An epoch with k mutations touches O(k · row-degree) entries, and
+/// neighbors() serves unchanged rows — notably links dirtied only by
+/// orientation flips — as O(row) copies, translated to the view's dense
+/// indices (id order equals dense order, so rows stay sorted). A query
+/// under another spec flushes the cache; a total-entry cap evicts by a
+/// deterministic LRU use serial (never wall clock).
 ///
-/// Thread safety: NONE — one session per thread, like the DynamicPlanner
-/// that owns it. Mutations obviously require exclusive access; neighbors()
-/// and build_graph() are logically const but memoize rows and reuse stamp
-/// scratch internally, so even concurrent const queries on one instance are
-/// data races. The query-side counters are relaxed atomics purely so that
-/// stats() reads taken while another thread OWNS the index (e.g. a metrics
-/// scraper racing a planner epoch) are well-defined loads rather than UB —
-/// they do not make any other member safe to share.
+/// Endpoint positions are stored by value (LinkStore carries node ids);
+/// the query view's geometry must be bit-identical to them, which audit
+/// mode re-checks every epoch against a from-scratch index.
+///
+/// Thread safety: NONE — one session per thread, like the owning
+/// DynamicPlanner. neighbors() and build_graph() are logically const but
+/// memoize rows and grids, so even concurrent const queries race. The
+/// query counters are relaxed atomics only so that a stats() read racing
+/// the owner (a metrics scraper) is a defined load.
 class ConflictIndex {
  public:
   ConflictIndex() = default;
+
+  /// A transient index over `links` (keyed by the view's ids, row cache
+  /// off): the builder behind from-scratch plans and the audit's reference
+  /// rows.
+  [[nodiscard]] static ConflictIndex of(const geom::LinkView& links);
 
   /// Inserts a live link. `id` must not already be present
   /// (std::invalid_argument); length must be positive.
@@ -181,10 +177,10 @@ class ConflictIndex {
   }
 
   /// Conflict rows for a subset of dense link indices: result[k] holds the
-  /// sorted dense indices conflicting with queries[k] — byte-identical to
-  /// conflict_neighbors_bucketed on the same view, without its O(n) per-call
-  /// grid build. Cached rows are served as copies; misses compute the row
-  /// from the standing grids and materialize it. `links` must be the
+  /// sorted dense indices conflicting with queries[k] — the rows of
+  /// build_conflict_graph on the same view. Cached rows are served as
+  /// copies; misses compute the row from the standing grids and
+  /// materialize it. `links` must be the
   /// snapshot of the store this index mirrors (same live ids, increasing-id
   /// dense order, bit-identical geometry); a desynchronized view throws
   /// std::logic_error.
@@ -192,12 +188,12 @@ class ConflictIndex {
       const geom::LinkView& links, const ConflictSpec& spec,
       std::span<const std::size_t> queries) const;
 
-  /// The full conflict graph G_f assembled from index queries (one row per
-  /// link) — equal to build_conflict_graph_bucketed on the same view. Used
-  /// by full-replan fallbacks that already pay for an index so even the
-  /// fallback skips the from-scratch grid construction. Warms the row cache
-  /// as a side effect (every row materializes), which is what hands the
-  /// initial full plan's rows to the following incremental epochs.
+  /// The full conflict graph G_f — equal to build_conflict_graph on the
+  /// same view. Each unordered pair is emitted once, by its shorter side: a
+  /// cached row hands over the partners it owns, an uncached one walks just
+  /// those. Warms the row cache as a side effect (every row materializes),
+  /// which is what hands the initial full plan's rows to the following
+  /// incremental epochs.
   [[nodiscard]] Graph build_graph(const geom::LinkView& links,
                                   const ConflictSpec& spec) const;
 
@@ -207,7 +203,14 @@ class ConflictIndex {
     geom::Point receiver{};
     double length = 0.0;
     int cls = 0;
+    std::size_t class_slot = 0;  ///< position in its class's member list
     bool live = false;
+  };
+  /// One length class: its members, and one endpoint grid per cell size
+  /// 2^k (keyed by k), each built on first use and maintained from then on.
+  struct LengthClass {
+    std::vector<geom::LinkId> members;
+    std::map<int, detail::ClassGrid<geom::LinkId>> levels;
   };
 
   /// A materialized conflict row: the exact sorted id-space neighbor set of
@@ -219,10 +222,16 @@ class ConflictIndex {
   };
 
   [[nodiscard]] Entry& checked(geom::LinkId id);
-  /// Inserts into (possibly creating) the class grid.
-  void grid_insert(const Entry& entry, geom::LinkId id);
-  /// Erases from the class grid, dropping the grid when it empties.
+  /// add() without the span, the counter and the row-cache maintenance.
+  void insert_entry(geom::LinkId id, const geom::Point& sender,
+                    const geom::Point& receiver, double length);
+  /// Adds to (possibly creating) the entry's class and its grids.
+  void grid_insert(Entry& entry, geom::LinkId id);
+  /// Removes from the entry's class, dropping the class when it empties.
   void grid_erase(const Entry& entry, geom::LinkId id);
+  /// The class's grid with cell 2^k, built from its members on first use.
+  [[nodiscard]] const detail::ClassGrid<geom::LinkId>& level(
+      LengthClass& length_class, int k) const;
 
   /// Exact conflict predicate on index entries — bit-identical to
   /// ConflictSpec::conflicting on a view with the same geometry (coincident
@@ -230,19 +239,26 @@ class ConflictIndex {
   /// excluded by id before calling.
   [[nodiscard]] bool conflicting_entries(const Entry& a,
                                          const Entry& b) const;
-  /// Deduplicated grid candidates around the given geometry (the same
-  /// two-sided class radius as the one-shot builders). May include the
-  /// probing link's own id. `prune` additionally applies the squared
-  /// distance prune (exact-row computation wants it; erase-target probing
-  /// wants the raw superset).
-  void collect_candidates(const geom::Point& sender,
-                          const geom::Point& receiver, double length,
-                          bool prune,
-                          std::vector<geom::LinkId>& out) const;
+  /// Appends to `out` the ids of the live links conflicting with `e` under
+  /// cached_spec_ (unsorted), excluding `self`. `one_sided` restricts the
+  /// walk to longer classes and to later ids of e's own class — each
+  /// unordered pair of a full build is then examined exactly once.
+  void walk(const Entry& e, geom::LinkId self, bool one_sided,
+            std::vector<geom::LinkId>& out) const;
   /// The exact sorted id-space conflict row of live link `id` under
   /// cached_spec_, computed from the grids.
   [[nodiscard]] std::vector<geom::LinkId> compute_row(geom::LinkId id) const;
+  /// Fills dense_scratch_ (id -> the view's dense index). Throws
+  /// std::logic_error unless `links` holds exactly the indexed links.
+  void map_view(const geom::LinkView& links) const;
+  /// Syncs cached_spec_ to `spec`, flushing rows cached under another one.
+  void use_spec(const ConflictSpec& spec) const;
 
+  /// Row-cache diff maintenance around a geometry change: unlink_rows
+  /// erases `id` from every cached row holding it (and drops its own);
+  /// link_rows inserts it into its partners' rows and caches its own.
+  void unlink_rows(geom::LinkId id);
+  void link_rows(geom::LinkId id);
   /// Stores `ids` as the cached row of `id` and bumps its recency.
   void store_row(geom::LinkId id, std::vector<geom::LinkId> ids) const;
   /// Drops the cached row of `id` if present, charging `counter`.
@@ -259,7 +275,8 @@ class ConflictIndex {
   void maybe_evict() const;
 
   std::vector<Entry> entries_;  ///< indexed by LinkId (ids never reused)
-  std::map<int, detail::ClassGrid<geom::LinkId>> classes_;
+  /// Logically const: queries add grids for the cell sizes they need.
+  mutable std::map<int, LengthClass> classes_;
   /// Query scratch (per-id visit stamps + candidate buffers): logically
   /// const, reused across row computations. One reason the index is not
   /// thread-safe.
@@ -267,6 +284,7 @@ class ConflictIndex {
   mutable std::uint64_t stamp_serial_ = 0;
   mutable std::vector<geom::LinkId> candidates_scratch_;
   mutable std::vector<geom::LinkId> row_scratch_;
+  mutable std::vector<std::int32_t> dense_scratch_;  ///< id -> dense index
   std::size_t live_ = 0;
   /// Grid origin, captured from the first endpoint ever inserted to keep
   /// cell coordinates small on far-from-zero instances.
@@ -297,8 +315,10 @@ class ConflictIndex {
   double maintain_ms_ = 0.0;
   std::uint64_t row_patches_ = 0;
   mutable detail::RelaxedCounter rows_queried_;
+  mutable detail::RelaxedCounter cell_probes_;
   mutable detail::RelaxedCounter dedupe_hits_;
-  mutable detail::RelaxedCounter cells_pruned_;
+  mutable detail::RelaxedCounter candidates_pruned_;
+  mutable detail::RelaxedCounter candidates_;
   mutable detail::RelaxedCounter row_hits_;
   mutable detail::RelaxedCounter row_misses_;
   mutable detail::RelaxedCounter row_invalidations_;

@@ -113,10 +113,9 @@ LinkScheduleResult schedule_links(const geom::LinkView& links,
   StageTimings& t = timings ? *timings : local;
   obs::StageSpan stage("conflict");
   const conflict::Graph graph =
-      conflict_index ? conflict_index->build_graph(links, result.spec)
-      : config.bucketed_conflict
-          ? conflict::build_conflict_graph_bucketed(links, result.spec)
-          : conflict::build_conflict_graph(links, result.spec);
+      conflict_index
+          ? conflict_index->build_graph(links, result.spec)
+          : conflict::ConflictIndex::of(links).build_graph(links, result.spec);
   t.conflict_ms = stage.next("coloring");
 
   const auto order = config.order == ColoringOrder::kDecreasingLength

@@ -54,8 +54,6 @@ struct PlannerConfig {
   /// Exponent of the power-law conflict graph used for kOblivious; must
   /// exceed max(tau, 1-tau) for pairwise affectance to decay.
   double delta = 0.75;
-  /// Use the bucket-grid conflict-graph builder.
-  bool bucketed_conflict = true;
   /// Node index that collects the aggregate.
   std::int32_t sink = 0;
 

@@ -44,8 +44,10 @@ struct PlannerMetrics {
   obs::Counter& boruvka_rounds = reg.counter("mst.boruvka_rounds");
   obs::Counter& grid_fallbacks = reg.counter("mst.grid_fallback_sweeps");
   obs::Counter& rows_queried = reg.counter("conflict.rows_queried");
+  obs::Counter& cell_probes = reg.counter("conflict.cell_probes");
   obs::Counter& dedupe_hits = reg.counter("conflict.dedupe_hits");
-  obs::Counter& cells_pruned = reg.counter("conflict.cells_pruned");
+  obs::Counter& candidates_pruned = reg.counter("conflict.candidates_pruned");
+  obs::Counter& candidates = reg.counter("conflict.candidates");
   obs::Counter& row_cache_hits = reg.counter("conflict.row_cache_hits");
   obs::Counter& row_cache_misses = reg.counter("conflict.row_cache_misses");
   obs::Counter& row_cache_patches = reg.counter("conflict.row_cache_patches");
@@ -114,7 +116,7 @@ void DynamicPlanner::on_touch(geom::LinkId id) {
 
 DynamicPlanner::DynamicPlanner(const geom::Pointset& initial,
                                DynamicOptions options)
-    : options_(std::move(options)), mst_(initial) {
+    : options_(std::move(options)), mst_(geom::Pointset{}) {
   options_.validate();
   store_.set_listener(this);
   if (initial.size() < 2) {
@@ -130,6 +132,10 @@ DynamicPlanner::DynamicPlanner(const geom::Pointset& initial,
   report.epoch = 0;
   {
     obs::Span epoch_span("epoch");
+    // The seed tree is the construction epoch's tree update.
+    obs::StageSpan mst_span("mst_update");
+    mst_ = mst::IncrementalMst(initial);
+    report.timings.mst_update_ms = mst_span.close();
     replan({}, report);
     if (options_.audit) run_audit(report);
   }
@@ -144,12 +150,9 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
 
   obs::Span epoch_span("epoch");
   obs::StageSpan mst_span("mst_update");
-  // Past ~n/8 mutations one batch Prim beats per-mutation maintenance, so
-  // bulk epochs defer tree updates and rebuild once. The threshold rose
-  // with the dynamic-tree engine: per-update cost is now polylog plus the
-  // occasional component walk, so localized patching stays ahead of the
-  // n^2/2 rebuild for much denser mutation batches than the merge-Kruskal
-  // engine could absorb.
+  // Past ~n/8 mutations bulk epochs defer tree updates and rebuild once
+  // with the batch cone-star Prim; below it, per-update cost (polylog plus
+  // the occasional component walk) keeps localized patching ahead.
   const bool bulk =
       mutations.size() >= std::max<std::size_t>(8, mst_.num_alive() / 8);
   std::vector<NodeId> touched;
@@ -197,7 +200,7 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
     // The tree must still be consistent for the next epoch: bulk epochs
     // postponed their updates entirely, and even a per-mutation update can
     // die partway through its in-place dtree/adjacency/grid edits — so
-    // rebuild unconditionally (error path; the O(n^2) Prim is immaterial).
+    // rebuild unconditionally (error path).
     mst_.rebuild();
     throw;
   }
@@ -843,20 +846,19 @@ void DynamicPlanner::run_audit(EpochReport& report) {
   report.audit_store_match = store_match;
 
   // The maintained conflict index must answer every link's row exactly as a
-  // from-scratch bucket-grid query over the same snapshot — the standing
-  // grids never drift from the live geometry. The first call materializes
-  // every row it misses; the second is then answered from the diff-patched
-  // row cache, so equality of the pair proves cached rows never drift from
-  // a from-scratch recomputation either.
+  // from-scratch build over the same snapshot — the standing grids never
+  // drift from the live geometry. The first call materializes every row it
+  // misses; the second is then answered from the diff-patched row cache, so
+  // equality of the pair proves cached rows never drift from a from-scratch
+  // recomputation either.
   std::vector<std::size_t> all_links(current_.links.size());
   std::iota(all_links.begin(), all_links.end(), std::size_t{0});
   const auto spec = core::spec_for_mode(config);
   const auto index_rows =
       conflict_index_.neighbors(current_.links, spec, all_links);
   report.audit_index_match =
-      index_rows ==
-          conflict::conflict_neighbors_bucketed(current_.links, spec,
-                                                all_links) &&
+      index_rows == conflict::ConflictIndex::of(current_.links)
+                        .neighbors(current_.links, spec, all_links) &&
       index_rows == conflict_index_.neighbors(current_.links, spec,
                                               all_links);
 
@@ -895,8 +897,12 @@ void DynamicPlanner::publish_epoch_metrics(const EpochReport& report) {
                            conflict_stats_mark_.rows_queried);
   metrics.dedupe_hits.add(conflict_stats.dedupe_hits -
                           conflict_stats_mark_.dedupe_hits);
-  metrics.cells_pruned.add(conflict_stats.cells_pruned -
-                           conflict_stats_mark_.cells_pruned);
+  metrics.cell_probes.add(conflict_stats.cell_probes -
+                          conflict_stats_mark_.cell_probes);
+  metrics.candidates_pruned.add(conflict_stats.candidates_pruned -
+                                conflict_stats_mark_.candidates_pruned);
+  metrics.candidates.add(conflict_stats.candidates -
+                         conflict_stats_mark_.candidates);
   metrics.row_cache_hits.add(conflict_stats.row_cache_hits -
                              conflict_stats_mark_.row_cache_hits);
   metrics.row_cache_misses.add(conflict_stats.row_cache_misses -

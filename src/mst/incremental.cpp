@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ranges>
 #include <stdexcept>
 #include <utility>
 
@@ -26,8 +27,7 @@ IncrementalMst::IncrementalMst(const geom::Pointset& initial)
   dtree_.ensure_vertices(initial.size());
   rebuild_grid();
   if (initial.size() >= 2) {
-    // Seed from the batch algorithm; Prim is O(n^2) once, and every later
-    // update is localized.
+    // Seed from the batch cone-star Prim; every later update is localized.
     const auto seed_edges = euclidean_mst(initial);
     std::vector<NodeId> ids(initial.size());
     for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -117,38 +117,12 @@ void IncrementalMst::ensure_node(NodeId id) {
 }
 
 void IncrementalMst::rebuild_grid() {
-  if (num_alive_ == 0) {
-    grid_.reset(1.0);
-    grid_built_points_ = 0;
-    return;
-  }
-  double min_x = 0.0, max_x = 0.0, min_y = 0.0, max_y = 0.0;
-  bool first = true;
-  for (std::size_t id = 0; id < alive_.size(); ++id) {
-    if (!alive_[id]) continue;
-    const auto& p = points_[id];
-    if (first) {
-      min_x = max_x = p.x;
-      min_y = max_y = p.y;
-      first = false;
-    } else {
-      min_x = std::min(min_x, p.x);
-      max_x = std::max(max_x, p.x);
-      min_y = std::min(min_y, p.y);
-      max_y = std::max(max_y, p.y);
-    }
-  }
-  // Cell ~ the mean nearest-neighbor spacing of a uniform instance, so ring
-  // searches resolve in O(1) cells there; extreme spreads (exponential
-  // chains) degrade to the grid's linear-sweep fallback, never below it.
-  const double diag = std::hypot(max_x - min_x, max_y - min_y);
-  const double cell =
-      diag > 0.0
-          ? diag / (std::sqrt(static_cast<double>(num_alive_)) + 1.0)
-          : 1.0;
-  grid_.reset(cell);
-  for (std::size_t id = 0; id < alive_.size(); ++id) {
-    if (alive_[id]) grid_.insert(static_cast<NodeId>(id), points_[id]);
+  const auto ids = alive_ids();
+  grid_.reset_for(ids | std::views::transform([this](NodeId id) {
+                    return points_[static_cast<std::size_t>(id)];
+                  }));
+  for (const NodeId id : ids) {
+    grid_.insert(id, points_[static_cast<std::size_t>(id)]);
   }
   grid_built_points_ = num_alive_;
 }
@@ -292,8 +266,9 @@ void IncrementalMst::attach(NodeId id) {
   for (const auto& cone : cones) {
     if (cone.id < 0) continue;
     const auto q = static_cast<NodeId>(cone.id);
-    candidates[k++] = q < id ? WeightedEdge{cone.w2, q, id}
-                             : WeightedEdge{cone.w2, id, q};
+    const double w2 = squared_weight(q, id);
+    candidates[k++] =
+        q < id ? WeightedEdge{w2, q, id} : WeightedEdge{w2, id, q};
   }
   if (k == 0) {
     throw std::logic_error(
@@ -434,8 +409,9 @@ void IncrementalMst::reconnect(std::vector<NodeId> seeds) {
             best.w2);
         if (near.id < 0) continue;
         const auto v = static_cast<NodeId>(near.id);
-        const WeightedEdge cand = v < u ? WeightedEdge{near.w2, v, u}
-                                        : WeightedEdge{near.w2, u, v};
+        const double w2 = squared_weight(u, v);
+        const WeightedEdge cand =
+            v < u ? WeightedEdge{w2, v, u} : WeightedEdge{w2, u, v};
         if (cand < best) best = cand;
       }
       if (best.a < 0) {

@@ -1,9 +1,15 @@
 #include "mst/mst.h"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <limits>
 #include <numeric>
+#include <queue>
 #include <stdexcept>
+#include <utility>
+
+#include "mst/point_grid.h"
 
 namespace wagg::mst {
 
@@ -48,34 +54,78 @@ std::vector<WeightedEdge> sorted_complete_graph(const geom::Pointset& points) {
 std::vector<Edge> euclidean_mst(const geom::Pointset& points) {
   require_at_least_two(points, "euclidean_mst");
   const std::size_t n = points.size();
+  for (const auto& p : points) {
+    if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+      throw std::invalid_argument("euclidean_mst: coordinates must be finite");
+    }
+  }
+  detail::PointGrid grid;
+  grid.reset_for(points);
+  for (std::size_t i = 0; i < n; ++i) {
+    grid.insert(static_cast<std::int32_t>(i), points[i]);
+  }
+  // The candidate star: each point's nearest neighbor per 60-degree cone,
+  // kept in both directions (the Yao graph, which contains the MST), laid
+  // out as adjacency ranges star[first[u], first[u + 1]).
+  std::vector<std::array<std::int32_t, 6>> cones(n);
+  std::vector<std::size_t> first(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto self = static_cast<std::int32_t>(i);
+    const auto near = grid.cone_nearest(
+        points[i], [self](std::int32_t id) { return id == self; });
+    for (std::size_t k = 0; k < near.size(); ++k) {
+      cones[i][k] = near[k].id;
+      if (near[k].id < 0) continue;
+      ++first[i + 1];
+      ++first[static_cast<std::size_t>(near[k].id) + 1];
+    }
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::int32_t> star(first[n]);
+  std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const std::int32_t j : cones[i]) {
+      if (j < 0) continue;
+      const auto v = static_cast<std::size_t>(j);
+      star[fill[i]++] = j;
+      star[fill[v]++] = static_cast<std::int32_t>(i);
+    }
+  }
+
+  // Prim over the star with a lazy-deletion heap. Relaxing in tree
+  // insertion order with a strict < and popping by (distance, index)
+  // reproduces dense Prim's choices on every edge the star holds.
   std::vector<double> best(n, std::numeric_limits<double>::infinity());
   std::vector<std::int32_t> attach(n, -1);
   std::vector<bool> in_tree(n, false);
-
-  std::vector<Edge> result;
-  result.reserve(n - 1);
-
-  std::size_t current = 0;
-  in_tree[0] = true;
-  for (std::size_t step = 1; step < n; ++step) {
-    // Relax distances from the most recently added vertex.
-    for (std::size_t v = 0; v < n; ++v) {
+  using Item = std::pair<double, std::int32_t>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  const auto join = [&](std::size_t u) {
+    in_tree[u] = true;
+    for (std::size_t e = first[u]; e < first[u + 1]; ++e) {
+      const auto v = static_cast<std::size_t>(star[e]);
       if (in_tree[v]) continue;
-      const double d = geom::distance(points[current], points[v]);
+      const double d = geom::distance(points[u], points[v]);
       if (d < best[v]) {
         best[v] = d;
-        attach[v] = static_cast<std::int32_t>(current);
+        attach[v] = static_cast<std::int32_t>(u);
+        heap.emplace(d, static_cast<std::int32_t>(v));
       }
     }
-    // Pick the closest fringe vertex; tie-break on index for determinism.
-    std::size_t pick = n;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (in_tree[v]) continue;
-      if (pick == n || best[v] < best[pick]) pick = v;
+  };
+  std::vector<Edge> result;
+  result.reserve(n - 1);
+  join(0);
+  while (result.size() + 1 < n) {
+    if (heap.empty()) {
+      throw std::logic_error("euclidean_mst: candidate star is disconnected");
     }
-    in_tree[pick] = true;
-    result.push_back(Edge{attach[pick], static_cast<std::int32_t>(pick)});
-    current = pick;
+    const auto [d, v] = heap.top();
+    heap.pop();
+    const auto pick = static_cast<std::size_t>(v);
+    if (in_tree[pick] || d != best[pick]) continue;  // stale entry
+    result.push_back(Edge{attach[pick], v});
+    join(pick);
   }
   return result;
 }

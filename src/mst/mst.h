@@ -17,15 +17,22 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
-/// Exact Euclidean minimum spanning tree via Prim's algorithm on the implicit
-/// complete graph, O(n^2) time / O(n) space. Ties are broken by smaller node
-/// index so the result is deterministic even on degenerate pointsets.
-/// Throws std::invalid_argument for fewer than 2 points.
+/// Exact Euclidean minimum spanning tree: Prim's algorithm with a heap over
+/// the cone star (each point's nearest neighbor per 60-degree cone, found
+/// by detail::PointGrid's wedge walk), which contains the MST. Near-linear
+/// on spread-out instances: O(n) grid cells walked in total, O(n log n)
+/// heap work. Edges come out in Prim order from node 0, each as
+/// {tree endpoint, new endpoint}; with distinct pairwise distances they
+/// equal dense O(n^2) Prim's edge for edge (relaxation with a strict <, the
+/// closest fringe node first, smaller index on equal distance). Under
+/// distance ties the tree is deterministic and of minimum weight but may
+/// differ from dense Prim's. Throws std::invalid_argument for fewer than 2
+/// points or a non-finite coordinate.
 [[nodiscard]] std::vector<Edge> euclidean_mst(const geom::Pointset& points);
 
 /// Kruskal's algorithm on the explicit complete graph, O(n^2 log n).
 /// Exists as an independent cross-check for euclidean_mst (same weight, and
-/// identical edges when all pairwise distances are distinct).
+/// the same edge set when all pairwise distances are distinct).
 [[nodiscard]] std::vector<Edge> kruskal_mst(const geom::Pointset& points);
 
 /// MST of collinear points: connects neighbours in sorted x order (the unique

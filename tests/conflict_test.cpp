@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -12,6 +14,7 @@
 #include "instance/lowerbound.h"
 #include "mst/tree.h"
 #include "util/rng.h"
+#include "workload/workload.h"
 
 namespace wagg::conflict {
 namespace {
@@ -27,15 +30,27 @@ ConflictIndex index_of(const geom::LinkView& links) {
   return index;
 }
 
-/// Asserts that the brute-force O(n^2) graph, the bucketed builder, the
-/// one-shot subset query, and the persistent index all agree on every row.
+/// The from-scratch graph: a transient index's one-sided pair walk.
+Graph scratch_graph(const geom::LinkView& links, const ConflictSpec& spec) {
+  return ConflictIndex::of(links).build_graph(links, spec);
+}
+
+/// From-scratch rows: a transient index's two-sided row walk, uncached.
+std::vector<std::vector<std::int32_t>> scratch_rows(
+    const geom::LinkView& links, const ConflictSpec& spec,
+    std::span<const std::size_t> queries) {
+  return ConflictIndex::of(links).neighbors(links, spec, queries);
+}
+
+/// Asserts that the brute-force O(n^2) graph, the from-scratch build, the
+/// from-scratch row walk, and the persistent index all agree on every row.
 void expect_all_builders_agree(const geom::LinkView& links,
                                const ConflictSpec& spec) {
   const auto brute = build_conflict_graph(links, spec);
-  const auto bucketed = build_conflict_graph_bucketed(links, spec);
+  const auto bucketed = scratch_graph(links, spec);
   std::vector<std::size_t> all(links.size());
   std::iota(all.begin(), all.end(), std::size_t{0});
-  const auto rows = conflict_neighbors_bucketed(links, spec, all);
+  const auto rows = scratch_rows(links, spec, all);
   const auto index = index_of(links);
   const auto index_rows = index.neighbors(links, spec, all);
   const auto index_graph = index.build_graph(links, spec);
@@ -169,10 +184,10 @@ TEST(Builder, NaiveMatchesBruteForcePredicate) {
   }
 }
 
-class BucketedEqualsNaive
+class IndexEqualsNaive
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
-TEST_P(BucketedEqualsNaive, OnSeveralFamiliesAndSpecs) {
+TEST_P(IndexEqualsNaive, OnSeveralFamiliesAndSpecs) {
   const auto [family, seed] = GetParam();
   geom::Pointset pts;
   switch (family) {
@@ -197,7 +212,7 @@ TEST_P(BucketedEqualsNaive, OnSeveralFamiliesAndSpecs) {
         ConflictSpec::power_law(1.0, 0.5),
         ConflictSpec::logarithmic(1.0, 3.0)}) {
     const auto naive = build_conflict_graph(tree.links, spec);
-    const auto bucketed = build_conflict_graph_bucketed(tree.links, spec);
+    const auto bucketed = scratch_graph(tree.links, spec);
     ASSERT_EQ(naive.num_vertices(), bucketed.num_vertices());
     EXPECT_EQ(naive.num_edges(), bucketed.num_edges()) << spec.name();
     for (std::size_t u = 0; u < naive.num_vertices(); ++u) {
@@ -210,14 +225,13 @@ TEST_P(BucketedEqualsNaive, OnSeveralFamiliesAndSpecs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Families, BucketedEqualsNaive,
+    Families, IndexEqualsNaive,
     ::testing::Combine(::testing::Values(0, 1, 2, 3),
                        ::testing::Values(1ULL, 7ULL, 13ULL)));
 
 TEST(SubsetQuery, RowsMatchFullGraphAcrossSpecs) {
-  // conflict_neighbors_bucketed must return exactly the full graph's rows
-  // for any query subset — it is the incremental planner's replacement for
-  // a full rebuild.
+  // A from-scratch index's row walk must return exactly the full graph's
+  // rows for any query subset.
   const auto pts = instance::uniform_square(90, 7.0, 5);
   const auto tree = mst::mst_tree(pts, 0);
   std::vector<std::size_t> queries;
@@ -226,7 +240,7 @@ TEST(SubsetQuery, RowsMatchFullGraphAcrossSpecs) {
        {ConflictSpec::constant(2.0), ConflictSpec::power_law(1.0, 0.6),
         ConflictSpec::logarithmic(2.0, 3.0)}) {
     const auto full = build_conflict_graph(tree.links, spec);
-    const auto rows = conflict_neighbors_bucketed(tree.links, spec, queries);
+    const auto rows = scratch_rows(tree.links, spec, queries);
     ASSERT_EQ(rows.size(), queries.size());
     for (std::size_t k = 0; k < queries.size(); ++k) {
       const auto expected = full.neighbors(queries[k]);
@@ -244,10 +258,10 @@ TEST(SubsetQuery, EmptyAndDegenerate) {
   const auto pts = instance::uniform_square(10, 3.0, 2);
   const auto tree = mst::mst_tree(pts, 0);
   const auto spec = ConflictSpec::constant(1.0);
-  EXPECT_TRUE(conflict_neighbors_bucketed(tree.links, spec, {}).empty());
+  EXPECT_TRUE(scratch_rows(tree.links, spec, {}).empty());
   const geom::LinkSet empty;
   const std::vector<std::size_t> none;
-  EXPECT_TRUE(conflict_neighbors_bucketed(empty, spec, none).empty());
+  EXPECT_TRUE(scratch_rows(empty, spec, none).empty());
 }
 
 TEST(Builder, ExtremeScalesDoNotOverflow) {
@@ -260,7 +274,7 @@ TEST(Builder, ExtremeScalesDoNotOverflow) {
         ConflictSpec::logarithmic(1.0, 3.0)}) {
     const auto g = build_conflict_graph(tree.links, spec);
     EXPECT_EQ(g.num_vertices(), tree.links.size());
-    const auto gb = build_conflict_graph_bucketed(tree.links, spec);
+    const auto gb = scratch_graph(tree.links, spec);
     EXPECT_EQ(g.num_edges(), gb.num_edges()) << spec.name();
   }
 }
@@ -404,8 +418,8 @@ TEST(ConflictIndex, RandomizedChurnMatchesFromScratch) {
     std::iota(all.begin(), all.end(), std::size_t{0});
     for (const auto& spec : specs) {
       const auto index_rows = index.neighbors(view, spec, all);
-      const auto scratch_rows = conflict_neighbors_bucketed(view, spec, all);
-      EXPECT_EQ(index_rows, scratch_rows)
+      const auto from_scratch = scratch_rows(view, spec, all);
+      EXPECT_EQ(index_rows, from_scratch)
           << spec.name() << " step " << step;
       const auto brute = build_conflict_graph(view, spec);
       for (std::size_t u = 0; u < view.size(); ++u) {
@@ -420,6 +434,47 @@ TEST(ConflictIndex, RandomizedChurnMatchesFromScratch) {
     }
   }
   store.set_listener(nullptr);
+}
+
+TEST(ConflictIndex, FromScratchBuildStaysOutputSensitive) {
+  // Distinct links reaching the exact predicate per row entry (two entries
+  // per edge) of a from-scratch build over the n=2048 MST. Each bound is
+  // half the figure the per-class grid walk this build replaced scored by
+  // the same count (it walked every row in full, behind a per-class-radius
+  // prune): uniform 1.198 / 1.977 / 2.458, cluster 1.156 / 1.308 / 1.340,
+  // annulus 1.185 / 1.924 / 2.321 for the constant / power-law /
+  // logarithmic specs.
+  struct Pin {
+    const char* family;
+    std::array<double, 3> bound;
+  };
+  const Pin pins[] = {{"uniform", {0.599, 0.988, 1.229}},
+                      {"cluster", {0.578, 0.654, 0.670}},
+                      {"annulus", {0.592, 0.962, 1.160}}};
+  const ConflictSpec specs[] = {ConflictSpec::constant(2.0),
+                                ConflictSpec::power_law(2.0, 0.75),
+                                ConflictSpec::logarithmic(2.0, 3.0)};
+  for (const auto& pin : pins) {
+    const auto tree =
+        mst::mst_tree(workload::make_family(pin.family, 2048, 3), 0);
+    const auto& links = tree.links;
+    for (std::size_t s = 0; s < 3; ++s) {
+      const auto index = ConflictIndex::of(links);
+      const auto graph = index.build_graph(links, specs[s]);
+      const auto brute = build_conflict_graph(links, specs[s]);
+      ASSERT_EQ(graph.num_edges(), brute.num_edges()) << pin.family;
+      for (std::size_t u = 0; u < links.size(); ++u) {
+        ASSERT_TRUE(std::ranges::equal(graph.neighbors(u), brute.neighbors(u)))
+            << pin.family << " " << specs[s].name() << " row " << u;
+      }
+      const double per_entry =
+          static_cast<double>(index.stats().candidates) /
+          (2.0 * static_cast<double>(graph.num_edges()));
+      EXPECT_LE(per_entry, pin.bound[s])
+          << pin.family << " " << specs[s].name();
+      EXPECT_GT(index.stats().cell_probes, 0u);
+    }
+  }
 }
 
 TEST(ConflictIndex, RejectsBadMutations) {
@@ -517,12 +572,12 @@ TEST(ConflictIndex, RowCacheStaysExactUnderListenerChurn) {
     const auto view = store.snapshot(points, node_index);
     std::vector<std::size_t> all(view.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
-    const auto scratch_rows = conflict_neighbors_bucketed(view, spec, all);
+    const auto from_scratch = scratch_rows(view, spec, all);
     const auto index_rows = index.neighbors(view, spec, all);
-    ASSERT_EQ(index_rows, scratch_rows) << "step " << step;
+    ASSERT_EQ(index_rows, from_scratch) << "step " << step;
     // Second query: every row served from the cache must still be exact.
     const auto cached_rows = index.neighbors(view, spec, all);
-    ASSERT_EQ(cached_rows, scratch_rows) << "step " << step;
+    ASSERT_EQ(cached_rows, from_scratch) << "step " << step;
     // neighbors() short-circuits (and caches nothing) below 2 live links.
     if (store.num_live() >= 2) {
       EXPECT_EQ(index.rows_cached(), store.num_live()) << "step " << step;
@@ -567,6 +622,38 @@ TEST(ConflictIndex, RowCacheCountersAndHitPath) {
             stats.rows_queried);
 }
 
+TEST(ConflictIndex, BuildGraphMixesCachedRowsAndWalks) {
+  // A partly warm cache: build_graph hands over the owned partners of the
+  // cached rows, walks the rest, and materializes every walked row.
+  const auto tree = mst::mst_tree(workload::make_family("cluster", 300, 4), 0);
+  const auto& links = tree.links;
+  for (const auto& spec :
+       {ConflictSpec::constant(1.5), ConflictSpec::power_law(1.0, 0.5),
+        ConflictSpec::logarithmic(2.0, 3.0)}) {
+    auto index = index_of(links);
+    std::vector<std::size_t> warm;
+    for (std::size_t i = 0; i < links.size(); i += 3) warm.push_back(i);
+    (void)index.neighbors(links, spec, warm);
+    const auto before = index.stats();
+
+    const auto graph = index.build_graph(links, spec);
+    const auto brute = build_conflict_graph(links, spec);
+    ASSERT_EQ(graph.num_edges(), brute.num_edges()) << spec.name();
+    for (std::size_t u = 0; u < links.size(); ++u) {
+      const auto got = graph.neighbors(u);
+      const auto want = brute.neighbors(u);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                             want.end()))
+          << spec.name() << " row " << u;
+    }
+    const auto after = index.stats();
+    EXPECT_EQ(after.row_cache_hits - before.row_cache_hits, warm.size());
+    EXPECT_EQ(after.row_cache_misses - before.row_cache_misses,
+              links.size() - warm.size());
+    EXPECT_EQ(index.rows_cached(), links.size());
+  }
+}
+
 TEST(ConflictIndex, SpecChangeFlushesCachedRows) {
   const auto tree = mst::mst_tree(instance::uniform_square(24, 6.0, 11), 0);
   const auto& links = tree.links;
@@ -581,7 +668,7 @@ TEST(ConflictIndex, SpecChangeFlushesCachedRows) {
 
   // A different spec must flush every cached row, then answer exactly.
   const auto rows_b = index.neighbors(links, spec_b, all);
-  EXPECT_EQ(rows_b, conflict_neighbors_bucketed(links, spec_b, all));
+  EXPECT_EQ(rows_b, scratch_rows(links, spec_b, all));
   const auto stats = index.stats();
   EXPECT_GE(stats.row_cache_invalidations, links.size());
   // Every row under spec_b was a miss (nothing cached for it survived).
@@ -598,7 +685,7 @@ TEST(ConflictIndex, EvictionCapKeepsRowsExactAndCapZeroDisables) {
   std::vector<std::size_t> all(links.size());
   std::iota(all.begin(), all.end(), std::size_t{0});
 
-  const auto scratch = conflict_neighbors_bucketed(links, spec, all);
+  const auto scratch = scratch_rows(links, spec, all);
   index.set_row_cache_entry_cap(8);  // far below the total row mass
   for (int pass = 0; pass < 3; ++pass) {
     EXPECT_EQ(index.neighbors(links, spec, all), scratch) << pass;
@@ -623,7 +710,7 @@ TEST(ConflictIndex, ClearDropsCachedRowsBeforeReseed) {
   std::vector<std::size_t> all = {0, 1};
   // Warm the cache: the two parallel unit links conflict.
   ASSERT_EQ(index.neighbors(links_before, spec, all),
-            conflict_neighbors_bucketed(links_before, spec, all));
+            scratch_rows(links_before, spec, all));
   ASSERT_EQ(index.rows_cached(), 2u);
 
   index.clear();
@@ -639,7 +726,7 @@ TEST(ConflictIndex, ClearDropsCachedRowsBeforeReseed) {
               links_after.receiver_pos(i), links_after.length(i));
   }
   const auto rows = index.neighbors(links_after, spec, all);
-  EXPECT_EQ(rows, conflict_neighbors_bucketed(links_after, spec, all));
+  EXPECT_EQ(rows, scratch_rows(links_after, spec, all));
   EXPECT_TRUE(rows[0].empty());
   EXPECT_TRUE(rows[1].empty());
 }
@@ -670,8 +757,31 @@ TEST(Builder, HugeExtentCoordinatesStayExact) {
         ConflictSpec::logarithmic(1.0, 3.0)}) {
     expect_all_builders_agree(links, spec);
     // Each cluster's pair conflicts; clusters are light-years apart.
-    const auto g = build_conflict_graph_bucketed(links, spec);
+    const auto g = scratch_graph(links, spec);
     EXPECT_EQ(g.num_edges(), 4u) << spec.name();
+  }
+}
+
+TEST(Builder, NearOverflowLengthsStayExact) {
+  // Lengths near the top of the double range: the longest link sits in
+  // class 1023 (its class_hi overflows to +inf) and its walk into class
+  // 1021 asks for a cell past 2^1023. Every builder must still agree with
+  // the brute-force oracle.
+  const geom::Pointset points{
+      {-7e307, 0.0},  {7e307, 0.0},      // class 1023
+      {-7e307, 1e307}, {7e307, 1e307},   // class 1023, parallel
+      {7e307, 1e307},  {7e307, 4e307},   // class 1021, shares a node
+      {6e307, -1e307}, {6e307, -4e307},  // class 1021
+      {1.0, 2e307},    {2.0, 2e307},     // class 0
+      {1.0, -5e306},   {1.5, -5e306},    // class -1
+  };
+  const geom::LinkSet links(points, {geom::Link{0, 1}, geom::Link{2, 3},
+                                     geom::Link{4, 5}, geom::Link{6, 7},
+                                     geom::Link{8, 9}, geom::Link{10, 11}});
+  for (const auto& spec :
+       {ConflictSpec::constant(1.0), ConflictSpec::power_law(1.0, 0.5),
+        ConflictSpec::logarithmic(1.0, 3.0)}) {
+    expect_all_builders_agree(links, spec);
   }
 }
 
@@ -679,9 +789,9 @@ TEST(Builder, EmptyAndSingle) {
   geom::Pointset pts{{0, 0}, {1, 0}};
   const geom::LinkSet single(pts, {geom::Link{0, 1}});
   const auto spec = ConflictSpec::constant(1.0);
-  EXPECT_EQ(build_conflict_graph_bucketed(single, spec).num_edges(), 0u);
+  EXPECT_EQ(scratch_graph(single, spec).num_edges(), 0u);
   const geom::LinkSet empty(pts, {});
-  EXPECT_EQ(build_conflict_graph_bucketed(empty, spec).num_vertices(), 0u);
+  EXPECT_EQ(scratch_graph(empty, spec).num_vertices(), 0u);
 }
 
 }  // namespace

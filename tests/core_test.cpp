@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "conflict/conflict_index.h"
 #include "core/baseline.h"
 #include "core/planner.h"
 #include "instance/basic.h"
@@ -124,14 +127,23 @@ TEST(Plan, ColoringOrderAblation) {
   EXPECT_GT(inc.schedule().length(), 0u);
 }
 
-TEST(Plan, BucketedAndNaiveConflictAgreeOnScheduleLength) {
+TEST(Plan, ConflictGraphEqualsBruteForceOracle) {
+  // The planner builds G_f through a transient ConflictIndex; its graph must
+  // equal the O(n^2) oracle row for row.
   const auto pts = instance::clustered(5, 16, 50.0, 0.5, 17);
-  auto cfg = config_for(PowerMode::kOblivious);
-  cfg.bucketed_conflict = true;
-  const auto a = plan_aggregation(pts, cfg);
-  cfg.bucketed_conflict = false;
-  const auto b = plan_aggregation(pts, cfg);
-  EXPECT_EQ(a.schedule().length(), b.schedule().length());
+  const auto cfg = config_for(PowerMode::kOblivious);
+  const auto plan = plan_aggregation(pts, cfg);
+  const auto& links = plan.tree.links;
+  const auto spec = spec_for_mode(cfg);
+  const auto brute = conflict::build_conflict_graph(links, spec);
+  const auto built =
+      conflict::ConflictIndex::of(links).build_graph(links, spec);
+  ASSERT_EQ(brute.num_vertices(), built.num_vertices());
+  EXPECT_EQ(brute.num_edges(), built.num_edges());
+  for (std::size_t u = 0; u < links.size(); ++u) {
+    EXPECT_TRUE(std::ranges::equal(brute.neighbors(u), built.neighbors(u)))
+        << "row " << u;
+  }
 }
 
 TEST(Plan, PairingTreeWorksEndToEnd) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "obs/trace.h"
 #include "runtime/plan_service.h"
 #include "schedule/verify.h"
+#include "util/clock.h"
 #include "sinr/feasibility.h"
 #include "util/rng.h"
 #include "workload/workload.h"
@@ -392,8 +395,8 @@ TEST(DynamicPlanner, ConflictIndexMatchesFromScratchEveryEpoch) {
       std::iota(all.begin(), all.end(), std::size_t{0});
       const auto index_rows =
           planner.conflict_index().neighbors(links, spec, all);
-      const auto scratch_rows = conflict::conflict_neighbors_bucketed(
-          links, spec, all);
+      const auto scratch_rows =
+          conflict::ConflictIndex::of(links).neighbors(links, spec, all);
       EXPECT_EQ(index_rows, scratch_rows) << family << " epoch " << epoch;
       const auto brute = conflict::build_conflict_graph(links, spec);
       for (std::size_t u = 0; u < links.size(); ++u) {
@@ -651,9 +654,50 @@ TEST(DynamicPlanner, FailedEpochCannotLeaveStaleCachedRows) {
   const auto& links = planner.snapshot().links;
   std::vector<std::size_t> all(links.size());
   std::iota(all.begin(), all.end(), std::size_t{0});
-  const auto scratch = conflict::conflict_neighbors_bucketed(links, spec, all);
+  const auto scratch =
+      conflict::ConflictIndex::of(links).neighbors(links, spec, all);
   EXPECT_EQ(planner.conflict_index().neighbors(links, spec, all), scratch);
   EXPECT_EQ(planner.conflict_index().neighbors(links, spec, all), scratch);
+}
+
+/// The construction epoch bills its seed tree to mst_update: the stage's
+/// span sits inside the construction's epoch span, reads the same clock as
+/// the report field, and lasts at least as long as a from-scratch tree of
+/// the same points (the seed builds one, plus its dynamic-tree engine).
+TEST(DynamicPlanner, ConstructionEpochBillsTheSeedTree) {
+  const auto points = workload::make_family("uniform", 1024, 3);
+  double emst_ms = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto start = util::Clock::now();
+    const auto edges = mst::euclidean_mst(points);
+    emst_ms = std::min(emst_ms, util::ms_since(start));
+    ASSERT_EQ(edges.size(), points.size() - 1);
+  }
+
+  auto& tracer = obs::Tracer::global();
+  tracer.enable();
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kGlobal);
+  const DynamicPlanner planner(points, options);
+  tracer.disable();
+  const auto spans = tracer.collect();
+  tracer.clear();
+
+  const obs::CollectedSpan* epoch = nullptr;
+  std::vector<const obs::CollectedSpan*> trees;
+  for (const auto& span : spans) {
+    if (span.name == "epoch") epoch = &span;
+    if (span.name == "mst_update") trees.push_back(&span);
+  }
+  ASSERT_NE(epoch, nullptr);
+  ASSERT_EQ(trees.size(), 1u);
+  const auto& tree = *trees.front();
+  EXPECT_GE(tree.start_ns, epoch->start_ns);
+  EXPECT_LE(tree.end_ns, epoch->end_ns);
+  const double span_ms = static_cast<double>(tree.end_ns - tree.start_ns) / 1e6;
+  const double billed_ms = planner.last_report().timings.mst_update_ms;
+  EXPECT_NEAR(span_ms, billed_ms, 1e-3);
+  EXPECT_GE(billed_ms, 0.5 * emst_ms);
 }
 
 /// Cross-checks the published row-cache telemetry: across a churn run every

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -10,10 +12,12 @@
 
 #include "geom/point.h"
 #include "instance/basic.h"
+#include "instance/extended.h"
 #include "mst/dtree.h"
 #include "mst/mst.h"
 #include "mst/point_grid.h"
 #include "mst/tree.h"
+#include "prim_reference.h"
 #include "util/rng.h"
 
 namespace wagg::mst {
@@ -105,6 +109,117 @@ TEST(Mst, IsSpanningTreeRejectsCyclesAndForests) {
 TEST(Mst, Validation) {
   EXPECT_THROW(euclidean_mst({{0, 0}}), std::invalid_argument);
   EXPECT_THROW(k_fold_mst({{0, 0}, {1, 0}}, 0), std::invalid_argument);
+}
+
+/// Family f of the differential tests at exactly n points: 0 uniform,
+/// 1 clustered, 2 annulus, 3 exponential chain (its base shrinks with n so
+/// the last coordinate stays finite).
+geom::Pointset family_points(int family, std::size_t n, std::uint64_t seed) {
+  const double side = std::sqrt(static_cast<double>(n));
+  geom::Pointset pts;
+  switch (family) {
+    case 0:
+      pts = instance::uniform_square(n, side, seed);
+      break;
+    case 1:
+      pts = instance::clustered(n / 16 + 1, 16, 4.0 * side, 0.1, seed);
+      break;
+    case 2:
+      pts = instance::annulus(n, side / 3.0, side, seed);
+      break;
+    default:
+      pts = instance::exponential_chain(
+          n, std::min(2.0, std::exp2(512.0 / static_cast<double>(n))));
+      break;
+  }
+  pts.resize(n);
+  return pts;
+}
+
+TEST(Mst, ConeStarPrimEqualsDensePrimEdgeForEdge) {
+  for (int family = 0; family < 4; ++family) {
+    for (const std::size_t n : {2u, 3u, 17u, 256u, 4096u}) {
+      const auto pts = family_points(family, n, 5 + n);
+      EXPECT_EQ(euclidean_mst(pts), testing::dense_prim(pts))
+          << "family " << family << " n " << n;
+    }
+  }
+}
+
+TEST(Mst, ConeStarPrimSurvivesOverflowingAndUnderflowingSquares) {
+  // At these scales squared distances overflow to +inf or underflow into
+  // subnormals, so a search ranking by world w2 would tie every candidate.
+  for (const double scale : {1e155, 1e-160}) {
+    for (int family = 0; family < 4; ++family) {
+      auto pts = family_points(family, 256, 3);
+      if (family == 3) pts = instance::exponential_chain(256, 1.5);
+      for (auto& p : pts) p = {p.x * scale, p.y * scale};
+      if (scale > 1.0) {
+        ASSERT_TRUE(std::isinf(geom::squared_distance(pts[0], pts[255])));
+      } else {
+        ASSERT_LT(geom::squared_distance(pts[0], pts[1]),
+                  std::numeric_limits<double>::min());
+      }
+      EXPECT_EQ(euclidean_mst(pts), testing::dense_prim(pts))
+          << "scale " << scale << " family " << family;
+    }
+  }
+}
+
+TEST(Mst, ConeStarPrimOnCollinearPoints) {
+  util::Rng rng(31);
+  geom::Pointset horizontal, vertical, diagonal;
+  for (int i = 0; i < 300; ++i) {
+    const double t = rng.uniform(-50.0, 50.0);
+    horizontal.push_back({t, 0.0});
+    vertical.push_back({2.0, t});
+    diagonal.push_back({t, 0.5 * t + 1.0});
+  }
+  for (const auto* pts : {&horizontal, &vertical, &diagonal}) {
+    EXPECT_EQ(euclidean_mst(*pts), testing::dense_prim(*pts));
+  }
+  EXPECT_NEAR(total_weight(horizontal, euclidean_mst(horizontal)),
+              total_weight(horizontal, line_mst(horizontal)), 1e-9);
+}
+
+TEST(Mst, ConeStarPrimOnTieHeavyInputs) {
+  // Lattices and coincident points tie many distances: the tree may differ
+  // from dense Prim's, but it must span and weigh the same.
+  const auto lattice = instance::grid(23, 17, 1.0);
+  geom::Pointset stacked;
+  for (const auto& p : instance::grid(6, 6, 2.0)) {
+    for (int copy = 0; copy < 3; ++copy) stacked.push_back(p);
+  }
+  const geom::Pointset all_same(40, geom::Point{3.0, -1.0});
+  for (const geom::Pointset* pts :
+       std::array<const geom::Pointset*, 3>{&lattice, &stacked, &all_same}) {
+    const auto edges = euclidean_mst(*pts);
+    EXPECT_TRUE(is_spanning_tree(pts->size(), edges));
+    const double want = total_weight(*pts, testing::dense_prim(*pts));
+    EXPECT_NEAR(total_weight(*pts, edges), want, 1e-9 * std::max(1.0, want));
+  }
+}
+
+TEST(Mst, KFoldFirstRoundIsKruskal) {
+  const auto pts = instance::uniform_square(80, 9.0, 4);
+  const auto one = k_fold_mst(pts, 1);
+  EXPECT_EQ(one, kruskal_mst(pts));
+  auto sorted = [](std::vector<Edge> edges) {
+    for (auto& e : edges) e = {std::min(e.u, e.v), std::max(e.u, e.v)};
+    std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+      return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+    });
+    return edges;
+  };
+  EXPECT_EQ(sorted(one), sorted(euclidean_mst(pts)));
+}
+
+TEST(Mst, RejectsNonFiniteCoordinates) {
+  EXPECT_THROW(euclidean_mst({{0, 0}, {std::nan(""), 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      euclidean_mst({{0, 0}, {std::numeric_limits<double>::infinity(), 1.0}}),
+      std::invalid_argument);
 }
 
 TEST(DynamicTree, BasicLinkCutPathMax) {
@@ -282,6 +397,76 @@ TEST(PointGrid, NearestAndConeQueriesAreExact) {
   const auto capped = grid.nearest({4.5, 4.5}, none,
                                    grid.nearest({4.5, 4.5}, none).w2);
   EXPECT_EQ(capped.id, grid.nearest({4.5, 4.5}, none).id);
+}
+
+/// Brute-force (w2, id)-minimal answers in world units: overall nearest
+/// and per cone.
+struct BruteNear {
+  detail::NearCandidate nearest;
+  std::array<detail::NearCandidate, 6> cones{};
+};
+
+BruteNear brute_near(const std::vector<geom::Point>& pts,
+                     const std::vector<bool>& present, const geom::Point& q,
+                     std::int32_t self) {
+  BruteNear out;
+  for (std::int32_t id = 0; id < static_cast<std::int32_t>(pts.size());
+       ++id) {
+    if (id == self || !present[static_cast<std::size_t>(id)]) continue;
+    const double dx = pts[static_cast<std::size_t>(id)].x - q.x;
+    const double dy = pts[static_cast<std::size_t>(id)].y - q.y;
+    const double w2 = dx * dx + dy * dy;
+    for (auto* slot : {&out.nearest,
+                       &out.cones[static_cast<std::size_t>(
+                           detail::PointGrid::cone_of(dx, dy))]}) {
+      if (w2 < slot->w2 || (w2 == slot->w2 && id < slot->id)) {
+        *slot = {id, w2};
+      }
+    }
+  }
+  return out;
+}
+
+TEST(PointGrid, WedgeWalkIsExactOnHullsClustersAndScales) {
+  // Every point of hull-heavy (annulus), clustered and uniform instances,
+  // at unit and overflow scale, before and after erasing a third of them:
+  // the wedge walk must return the brute-force answer in every cone. The
+  // overflow scale is a power of two, so the unscaled brute force ranks
+  // exactly as the scaled search must.
+  for (int family = 0; family < 3; ++family) {
+    for (const double scale : {1.0, std::ldexp(1.0, 515)}) {
+      const auto unscaled = family_points(family, 400, 9);
+      auto pts = unscaled;
+      for (auto& p : pts) p = {p.x * scale, p.y * scale};
+      detail::PointGrid grid;
+      grid.reset_for(pts);
+      std::vector<bool> present(pts.size(), true);
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        grid.insert(static_cast<std::int32_t>(i), pts[i]);
+      }
+      for (int round = 0; round < 2; ++round) {
+        for (std::size_t i = 0; i < pts.size(); ++i) {
+          if (!present[i]) continue;
+          const auto self = static_cast<std::int32_t>(i);
+          const auto not_self = [self](std::int32_t id) { return id == self; };
+          const auto want =
+              brute_near(unscaled, present, unscaled[i], self);
+          const auto cones = grid.cone_nearest(pts[i], not_self);
+          for (std::size_t c = 0; c < 6; ++c) {
+            ASSERT_EQ(cones[c].id, want.cones[c].id)
+                << "family " << family << " scale " << scale << " round "
+                << round << " point " << i << " cone " << c;
+          }
+          ASSERT_EQ(grid.nearest(pts[i], not_self).id, want.nearest.id);
+        }
+        for (std::size_t i = static_cast<std::size_t>(round); i < pts.size();
+             i += 3) {
+          grid.erase(static_cast<std::int32_t>(i), pts[i]);
+          present[i] = false;
+        }
+      }
+    }
+  }
 }
 
 TEST(Tree, OrientationBasics) {

@@ -35,7 +35,8 @@ Rules (see README "Correctness tooling" for the catalogue and rationale):
                 private substrate of ConflictIndex's diff-maintained row
                 cache, and an outside reader could observe rows mid-patch or
                 bypass the cache's exactness invariant. Other layers go
-                through ConflictIndex / conflict_neighbors_bucketed. The one
+                through ConflictIndex (ConflictIndex::of for a transient
+                from-scratch build). The one
                 allowed exception (mst/point_grid.h borrows the cell_key
                 mixer only) carries an allow comment.
 
@@ -265,13 +266,13 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
                 report(idx, "class-grid",
                        "ClassGrid outside src/conflict/: the per-class grids "
                        "are ConflictIndex's private row-cache substrate — "
-                       "query through ConflictIndex or "
-                       "conflict_neighbors_bucketed")
+                       "query through ConflictIndex (ConflictIndex::of for "
+                       "a from-scratch build)")
             if CLASS_GRID_INCLUDE_RE.search(raw_lines[idx - 1]):
                 report(idx, "class-grid",
                        "including conflict/class_grid.h outside "
-                       "src/conflict/: query through ConflictIndex or "
-                       "conflict_neighbors_bucketed")
+                       "src/conflict/: query through ConflictIndex "
+                       "(ConflictIndex::of for a from-scratch build)")
         if not may_cold_solve and COLD_SOLVE_RE.search(line):
             report(idx, "cold-solve",
                    "power_control_feasible outside src/sinr/, "
