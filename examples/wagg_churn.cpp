@@ -8,7 +8,7 @@
 //   ./wagg_churn --powers                           # materialize slot powers
 //   ./wagg_churn --grow=0.02                        # net growth schedule
 //   ./wagg_churn --shrink=0.02                      # net shrink schedule
-//   ./wagg_churn --full-frac=0.1 --seed=7 --csv
+//   ./wagg_churn --seed=7 --csv
 //   ./wagg_churn --trace=out.json --metrics-json=out-metrics.json
 //
 // Per epoch the driver prints the mutation count, the dirty-link set, how
@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
     options.config = workload::mode_config(
         workload::power_mode_from_string(args.get("mode", "global")));
     options.audit = args.has("audit");
-    options.full_replan_fraction = args.get_double("full-frac", 0.35);
 
     // RAII export: if anything below throws mid-session, the guard's
     // destructor still flushes the spans and metrics recorded so far — the
@@ -105,7 +104,7 @@ int main(int argc, char** argv) {
           .cell(report.mutations_applied)
           .cell(report.num_nodes)
           .cell(report.num_links)
-          .cell(report.full_replan ? report.num_links : report.dirty_links)
+          .cell(report.dirty_links)
           .cell(report.slots)
           .cell(report.reused_slots)
           .cell(report.touched_slots)
@@ -154,7 +153,7 @@ int main(int argc, char** argv) {
     std::size_t power_computed = 0;
     std::size_t certificate_hits = 0;
     std::size_t certificate_misses = 0;
-    std::size_t fallbacks = 0;
+    std::size_t full_replans = 0;
     bool all_valid = true;
     for (const auto& epoch_mutations : trace) {
       (void)planner.apply(epoch_mutations);
@@ -173,7 +172,7 @@ int main(int argc, char** argv) {
       power_computed += report.power_slots_computed;
       certificate_hits += report.certificate_hits;
       certificate_misses += report.certificate_misses;
-      if (report.full_replan) ++fallbacks;
+      if (report.full_replan) ++full_replans;
       all_valid = all_valid && report.valid &&
                   (!report.audited || (report.audit_valid &&
                                        report.audit_power_valid &&
@@ -229,7 +228,7 @@ int main(int argc, char** argv) {
     }
     std::cout << ", ledger " << certificate_hits << " certificate hits / "
               << certificate_misses << " misses";
-    std::cout << ", " << fallbacks << " fallbacks, "
+    std::cout << ", " << full_replans << " full replans, "
               << (all_valid ? "all epochs valid" : "INVALID EPOCHS") << "\n";
 
     // Cumulative row-cache economics for the whole session (construction

@@ -33,40 +33,9 @@ void check_permutation(std::size_t n, std::span<const std::size_t> order) {
   }
 }
 
-}  // namespace
-
-Coloring greedy_color(const conflict::Graph& graph,
-                      std::span<const std::size_t> order) {
-  const std::size_t n = graph.num_vertices();
-  check_permutation(n, order);
-  Coloring coloring;
-  coloring.color_of.assign(n, -1);
-  std::vector<bool> used;  // scratch: colors used by neighbours
-  for (std::size_t v : order) {
-    used.assign(static_cast<std::size_t>(coloring.num_colors) + 1, false);
-    for (const auto w : graph.neighbors(v)) {
-      const int c = coloring.color_of[static_cast<std::size_t>(w)];
-      if (c >= 0) used[static_cast<std::size_t>(c)] = true;
-    }
-    int color = 0;
-    while (used[static_cast<std::size_t>(color)]) ++color;
-    coloring.color_of[v] = color;
-    coloring.num_colors = std::max(coloring.num_colors, color + 1);
-  }
-  return coloring;
-}
-
-Coloring greedy_color_index_order(const conflict::Graph& graph) {
-  std::vector<std::size_t> order(graph.num_vertices());
-  for (std::size_t v = 0; v < order.size(); ++v) order[v] = v;
-  return greedy_color(graph, order);
-}
-
-namespace {
-
-/// The shared seeded-first-fit core: assigns vertex v the smallest color
-/// unused by its neighbors (supplied by `neighbors_of`), updating the
-/// coloring in place. Both greedy_recolor flavors delegate here so the
+/// The shared first-fit core: assigns vertex v the smallest color unused by
+/// its neighbors (supplied by `neighbors_of`), updating the coloring in
+/// place. greedy_color and greedy_recolor_rows both delegate here so the
 /// first-fit rule cannot diverge between them.
 template <typename NeighborsOf>
 void first_fit_vertex(Coloring& coloring, std::size_t v,
@@ -95,34 +64,26 @@ Coloring seed_coloring(std::span<const int> seed) {
 
 }  // namespace
 
-Coloring greedy_recolor(const conflict::Graph& graph,
-                        std::span<const std::size_t> order,
-                        std::span<const int> seed) {
+Coloring greedy_color(const conflict::Graph& graph,
+                      std::span<const std::size_t> order) {
   const std::size_t n = graph.num_vertices();
   check_permutation(n, order);
-  if (seed.size() != n) {
-    throw std::invalid_argument("greedy_recolor: seed size mismatch");
-  }
-  Coloring coloring = seed_coloring(seed);
-  for (std::size_t v = 0; v < n; ++v) {
-    const int c = coloring.color_of[v];
-    if (c < 0) continue;
-    for (const auto w : graph.neighbors(v)) {
-      if (coloring.color_of[static_cast<std::size_t>(w)] == c) {
-        throw std::invalid_argument(
-            "greedy_recolor: seed is not proper on the seeded subgraph");
-      }
-    }
-  }
+  Coloring coloring;
+  coloring.color_of.assign(n, -1);
   std::vector<bool> used;  // scratch: colors used by neighbours
   const auto neighbors_of = [&graph](std::size_t v) {
     return graph.neighbors(v);
   };
   for (std::size_t v : order) {
-    if (coloring.color_of[v] >= 0) continue;  // seeded — keep
     first_fit_vertex(coloring, v, neighbors_of, used);
   }
   return coloring;
+}
+
+Coloring greedy_color_index_order(const conflict::Graph& graph) {
+  std::vector<std::size_t> order(graph.num_vertices());
+  for (std::size_t v = 0; v < order.size(); ++v) order[v] = v;
+  return greedy_color(graph, order);
 }
 
 Coloring greedy_recolor_rows(std::span<const std::size_t> targets,

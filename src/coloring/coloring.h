@@ -30,24 +30,15 @@ struct Coloring {
 /// Greedy coloring in vertex-index order (baseline / ablation).
 [[nodiscard]] Coloring greedy_color_index_order(const conflict::Graph& graph);
 
-/// Seeded (warm-start) recoloring: vertices with seed[v] >= 0 keep exactly
-/// that color; the rest are first-fit colored in `order` (seeded entries of
-/// `order` are skipped). The incremental planner uses this to recolor only
-/// the links whose conflict neighborhood changed across an epoch.
-/// Preconditions: `order` is a permutation of [0, n), seed.size() == n, and
-/// the seed is proper on the seeded subgraph (std::invalid_argument
-/// otherwise).
-[[nodiscard]] Coloring greedy_recolor(const conflict::Graph& graph,
-                                      std::span<const std::size_t> order,
-                                      std::span<const int> seed);
-
-/// greedy_recolor without materializing a Graph: targets[k] (its conflict
-/// row given as rows[k], vertex indices) are first-fit colored in order
-/// k = 0, 1, ... against the seed; all other vertices keep their seed
-/// color. Same first-fit rule as greedy_recolor — the incremental planner
-/// feeds it the bucket-grid subset rows of its dirty links. Rows are not
+/// Seeded recoloring without materializing a Graph: targets[k] (its
+/// conflict row given as rows[k], vertex indices) are first-fit colored in
+/// order k = 0, 1, ... against the seed; all other vertices keep their seed
+/// color (seed[v] >= 0). Same first-fit rule as greedy_color, which an
+/// all-blank seed with every vertex targeted reproduces — the incremental
+/// planner feeds it the conflict rows of its dirty links. Rows are not
 /// validated against the (absent) graph; seed propriety is the caller's
-/// responsibility.
+/// responsibility. Throws std::invalid_argument when targets and rows
+/// differ in size or a target lies outside the seed.
 [[nodiscard]] Coloring greedy_recolor_rows(
     std::span<const std::size_t> targets,
     std::span<const std::vector<std::int32_t>> rows,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -456,93 +457,100 @@ std::vector<std::vector<std::int32_t>> ConflictIndex::neighbors(
 
   use_spec(spec);
   const auto& dense = dense_scratch_;
-  rows_queried_.add(static_cast<std::uint64_t>(queries.size()));
+  // miss_at[i]: the result position that computes dense link i's uncached
+  // row (its first query); -1 for cached or unqueried links.
+  std::vector<std::int32_t> miss_at(links.size(), -1);
+  std::size_t walks = 0;
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  const bool may_cache = row_cache_entry_cap_ > 0;
-  std::vector<geom::LinkId> fresh;
   for (std::size_t k = 0; k < queries.size(); ++k) {
-    const geom::LinkId id = links.id_of(queries[k]);
-    const auto slot = static_cast<std::size_t>(id);
-    const std::vector<geom::LinkId>* ids = nullptr;
+    const std::size_t i = queries[k];
+    const auto slot = static_cast<std::size_t>(links.id_of(i));
     if (slot < rows_.size() && rows_[slot].cached) {
       ++hits;
-      rows_[slot].last_used = ++use_serial_;
-      ids = &rows_[slot].ids;
-    } else {
-      ++misses;
-      fresh = compute_row(id);
-      if (may_cache) {
-        store_row(id, std::move(fresh));
-        ids = &rows_[slot].ids;
-      } else {
-        ids = &fresh;
-      }
-    }
-    // Rows are sorted in id-space and dense order is increasing id, so the
-    // translated row comes out sorted.
-    auto& out = result[k];
-    out.reserve(ids->size());
-    for (const geom::LinkId nid : *ids) {
-      out.push_back(dense[static_cast<std::size_t>(nid)]);
+    } else if (miss_at[i] < 0) {
+      miss_at[i] = static_cast<std::int32_t>(k);
+      ++walks;
     }
   }
+
+  if (walks > 0 && walks == live_ - rows_live_) {
+    // Every uncached live link is queried, so each unordered pair with an
+    // uncached side is emitted once, by its shorter side (lower class, then
+    // lower id): an uncached row walks just the partners it owns and emits
+    // into both rows, a cached row hands over its owned uncached partners.
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      const geom::LinkId id = links.id_of(i);
+      const Entry& e = entries_[static_cast<std::size_t>(id)];
+      const bool cached = miss_at[i] < 0;
+      if (!cached) {
+        row_scratch_.clear();
+        walk(e, id, /*one_sided=*/true, row_scratch_);
+      }
+      for (const geom::LinkId j :
+           cached ? rows_[static_cast<std::size_t>(id)].ids : row_scratch_) {
+        const std::int32_t dj = dense[static_cast<std::size_t>(j)];
+        if (!cached) {
+          result[static_cast<std::size_t>(miss_at[i])].push_back(dj);
+        } else {
+          const Entry& other = entries_[static_cast<std::size_t>(j)];
+          if (other.cls < e.cls || (other.cls == e.cls && j < id)) continue;
+        }
+        const std::int32_t at = miss_at[static_cast<std::size_t>(dj)];
+        if (at >= 0) {
+          result[static_cast<std::size_t>(at)].push_back(
+              static_cast<std::int32_t>(i));
+        }
+      }
+    }
+  } else {
+    for (std::size_t k = 0; k < queries.size(); ++k) {
+      if (miss_at[queries[k]] != static_cast<std::int32_t>(k)) continue;
+      for (const geom::LinkId j : compute_row(links.id_of(queries[k]))) {
+        result[k].push_back(dense[static_cast<std::size_t>(j)]);
+      }
+    }
+  }
+
+  // Serve the cached rows, sort and materialize the computed ones. Rows are
+  // sorted in id-space and dense order is increasing id, so translated rows
+  // come out sorted.
+  rows_queried_.add(static_cast<std::uint64_t>(queries.size()));
   if (hits != 0) row_hits_.add(hits);
-  if (misses != 0) row_misses_.add(misses);
+  if (hits != queries.size()) row_misses_.add(queries.size() - hits);
+  const bool may_cache = row_cache_entry_cap_ > 0;
+  for (std::size_t k = 0; k < queries.size(); ++k) {
+    const std::size_t i = queries[k];
+    const geom::LinkId id = links.id_of(i);
+    auto& out = result[k];
+    if (miss_at[i] < 0) {
+      auto& row = rows_[static_cast<std::size_t>(id)];
+      row.last_used = ++use_serial_;
+      out.reserve(row.ids.size());
+      for (const geom::LinkId j : row.ids) {
+        out.push_back(dense[static_cast<std::size_t>(j)]);
+      }
+    } else if (miss_at[i] != static_cast<std::int32_t>(k)) {
+      out = result[static_cast<std::size_t>(miss_at[i])];  // repeat query
+    } else {
+      std::sort(out.begin(), out.end());
+      if (!may_cache) continue;
+      std::vector<geom::LinkId> ids;
+      ids.reserve(out.size());
+      for (const std::int32_t j : out) {
+        ids.push_back(links.id_of(static_cast<std::size_t>(j)));
+      }
+      store_row(id, std::move(ids));
+    }
+  }
   maybe_evict();
   return result;
 }
 
 Graph ConflictIndex::build_graph(const geom::LinkView& links,
                                  const ConflictSpec& spec) const {
-  spec.validate();
-  map_view(links);
-  Graph graph(links.size());
-  use_spec(spec);
-  const auto& dense = dense_scratch_;
-  // Each unordered pair is emitted once, by its shorter side (lower class,
-  // then lower id): a cached row hands over the partners it owns, an
-  // uncached one walks just those (longer classes, later ids of its own).
-  std::uint64_t hits = 0;
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    const geom::LinkId id = links.id_of(i);
-    const auto slot = static_cast<std::size_t>(id);
-    const Entry& e = entries_[slot];
-    const bool cached = slot < rows_.size() && rows_[slot].cached;
-    if (cached) {
-      ++hits;
-      rows_[slot].last_used = ++use_serial_;
-    } else {
-      row_scratch_.clear();
-      walk(e, id, /*one_sided=*/true, row_scratch_);
-    }
-    for (const geom::LinkId j : cached ? rows_[slot].ids : row_scratch_) {
-      const Entry& other = entries_[static_cast<std::size_t>(j)];
-      if (!cached || other.cls > e.cls || (other.cls == e.cls && j > id)) {
-        graph.add_edge(i, static_cast<std::size_t>(
-                              dense[static_cast<std::size_t>(j)]));
-      }
-    }
-  }
-  graph.finalize();
-  rows_queried_.add(static_cast<std::uint64_t>(links.size()));
-  if (hits != 0) row_hits_.add(hits);
-  if (hits != links.size()) row_misses_.add(links.size() - hits);
-  if (row_cache_entry_cap_ > 0) {
-    // Materialize the walked rows: the graph now holds both halves.
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      const auto slot = static_cast<std::size_t>(links.id_of(i));
-      if (slot < rows_.size() && rows_[slot].cached) continue;
-      std::vector<geom::LinkId> ids;
-      ids.reserve(graph.degree(i));
-      for (const std::int32_t j : graph.neighbors(i)) {
-        ids.push_back(links.id_of(static_cast<std::size_t>(j)));
-      }
-      store_row(links.id_of(i), std::move(ids));
-    }
-    maybe_evict();
-  }
-  return graph;
+  std::vector<std::size_t> all(links.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return Graph(neighbors(links, spec, all));
 }
 
 }  // namespace wagg::conflict

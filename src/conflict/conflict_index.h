@@ -61,7 +61,7 @@ struct ConflictIndexStats {
   /// Distinct links rejected by the per-pair prune.
   std::uint64_t candidates_pruned = 0;
   /// Distinct links that reached the exact conflict predicate (a
-  /// from-scratch build_graph examines each unordered pair once).
+  /// cold all-rows query examines each unordered pair once).
   std::uint64_t candidates = 0;
   // ---- materialized row cache ----
   /// Queries served as an O(row) copy of a cached id-space row.
@@ -83,8 +83,8 @@ struct ConflictIndexStats {
 /// The one conflict-graph builder: per-length-class endpoint grids kept
 /// alongside a geom::LinkStore across epochs and maintained under add /
 /// remove / update by stable LinkId. A dynamic planner answers dirty-row
-/// queries against standing state, a full replan builds G_f from it, and
-/// core::schedule_links without an index builds a transient one (of()).
+/// queries against standing state, and core::schedule_links builds G_f
+/// from a transient one (of()).
 ///
 /// Classes are anchored to ABSOLUTE lengths — class c holds lengths in
 /// [2^c, 2^(c+1)) — so a link is re-classed only when its own length
@@ -95,9 +95,10 @@ struct ConflictIndexStats {
 /// grid per cell size 2^k, built on first use, and the walk reads the one
 /// whose cell is 2-4x the radius, so it looks up at most four cells per
 /// endpoint whatever the length ratio. A per-pair prune, d > min(l_q, l_j) *
-/// f(x_max), runs before the exact predicate. build_graph walks each
-/// uncached row only toward the pairs it owns (longer classes, later ids of
-/// its own class), skipping the widest radii altogether.
+/// f(x_max), runs before the exact predicate. When a query covers every
+/// uncached row, each of them walks only toward the pairs it owns (longer
+/// classes, later ids of its own class), skipping the widest radii
+/// altogether.
 ///
 /// On top of the grids sits a MATERIALIZED ROW CACHE: each link's exact
 /// id-space row under the most recent query's spec, maintained by DIFF on
@@ -180,20 +181,20 @@ class ConflictIndex {
   /// sorted dense indices conflicting with queries[k] — the rows of
   /// build_conflict_graph on the same view. Cached rows are served as
   /// copies; misses compute the row from the standing grids and
-  /// materialize it. `links` must be the
-  /// snapshot of the store this index mirrors (same live ids, increasing-id
-  /// dense order, bit-identical geometry); a desynchronized view throws
-  /// std::logic_error.
+  /// materialize it. When every uncached live link is queried (a cold
+  /// index asked for all rows), each unordered pair is emitted once, by its
+  /// shorter side: an uncached row walks just the partners it owns and a
+  /// cached row hands over its owned uncached partners; otherwise each miss
+  /// walks its whole row. `links` must be the snapshot of the store this
+  /// index mirrors (same live ids, increasing-id dense order, bit-identical
+  /// geometry); a desynchronized view throws std::logic_error.
   [[nodiscard]] std::vector<std::vector<std::int32_t>> neighbors(
       const geom::LinkView& links, const ConflictSpec& spec,
       std::span<const std::size_t> queries) const;
 
   /// The full conflict graph G_f — equal to build_conflict_graph on the
-  /// same view. Each unordered pair is emitted once, by its shorter side: a
-  /// cached row hands over the partners it owns, an uncached one walks just
-  /// those. Warms the row cache as a side effect (every row materializes),
-  /// which is what hands the initial full plan's rows to the following
-  /// incremental epochs.
+  /// same view: neighbors() over every link, packed into a Graph. Warms the
+  /// row cache as a side effect (every row materializes).
   [[nodiscard]] Graph build_graph(const geom::LinkView& links,
                                   const ConflictSpec& spec) const;
 
@@ -242,7 +243,7 @@ class ConflictIndex {
   /// Appends to `out` the ids of the live links conflicting with `e` under
   /// cached_spec_ (unsorted), excluding `self`. `one_sided` restricts the
   /// walk to longer classes and to later ids of e's own class — each
-  /// unordered pair of a full build is then examined exactly once.
+  /// unordered pair of an all-rows query is then examined exactly once.
   void walk(const Entry& e, geom::LinkId self, bool one_sided,
             std::vector<geom::LinkId>& out) const;
   /// The exact sorted id-space conflict row of live link `id` under

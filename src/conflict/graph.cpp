@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace wagg::conflict {
 
 Graph::Graph(std::size_t num_vertices) : adjacency_(num_vertices) {}
+
+Graph::Graph(std::vector<std::vector<std::int32_t>> rows)
+    : adjacency_(std::move(rows)) {
+  for (const auto& adj : adjacency_) num_edges_ += adj.size();
+  num_edges_ /= 2;
+}
 
 void Graph::add_edge(std::size_t u, std::size_t v) {
   if (u >= adjacency_.size() || v >= adjacency_.size()) {

@@ -15,6 +15,9 @@ class Graph {
  public:
   Graph() = default;
   explicit Graph(std::size_t num_vertices);
+  /// Adopts sorted, duplicate-free, symmetric adjacency rows as they are
+  /// (ConflictIndex::neighbors over every vertex).
+  explicit Graph(std::vector<std::vector<std::int32_t>> rows);
 
   void add_edge(std::size_t u, std::size_t v);
   void finalize();

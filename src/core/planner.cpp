@@ -96,13 +96,8 @@ schedule::SlotLedger ledger_for_mode(const geom::LinkView& links,
 
 LinkScheduleResult schedule_links(const geom::LinkView& links,
                                   const PlannerConfig& config,
-                                  StageTimings* timings, const WarmStart* warm,
-                                  const conflict::ConflictIndex* conflict_index) {
+                                  StageTimings* timings) {
   config.validate();
-  if (warm && warm->seed_colors.size() != links.size()) {
-    throw std::invalid_argument(
-        "schedule_links: warm-start seed size does not match link count");
-  }
   LinkScheduleResult result;
   result.spec = spec_for_mode(config);
   result.power = power_for_mode(links, config);
@@ -113,24 +108,14 @@ LinkScheduleResult schedule_links(const geom::LinkView& links,
   StageTimings& t = timings ? *timings : local;
   obs::StageSpan stage("conflict");
   const conflict::Graph graph =
-      conflict_index
-          ? conflict_index->build_graph(links, result.spec)
-          : conflict::ConflictIndex::of(links).build_graph(links, result.spec);
+      conflict::ConflictIndex::of(links).build_graph(links, result.spec);
   t.conflict_ms = stage.next("coloring");
 
   const auto order = config.order == ColoringOrder::kDecreasingLength
                          ? links.by_decreasing_length()
                          : links.by_increasing_length();
-  const coloring::Coloring colors =
-      warm ? coloring::greedy_recolor(graph, order, warm->seed_colors)
-           : coloring::greedy_color(graph, order);
-  result.schedule = schedule::from_coloring(colors);
-  if (warm) {
-    // A seeded coloring may leave gaps (color classes that lost every
-    // member); empty slots would inflate the schedule length.
-    std::erase_if(result.schedule.slots,
-                  [](const std::vector<std::size_t>& s) { return s.empty(); });
-  }
+  result.schedule =
+      schedule::from_coloring(coloring::greedy_color(graph, order));
   result.colors_before_repair = result.schedule.length();
   t.coloring_ms = stage.next("repair");
 

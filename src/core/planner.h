@@ -15,10 +15,6 @@
 #include "sinr/model.h"
 #include "sinr/power.h"
 
-namespace wagg::conflict {
-class ConflictIndex;
-}  // namespace wagg::conflict
-
 namespace wagg::core {
 
 /// Power-control regime (Sec 2 "Power Assignments").
@@ -120,31 +116,15 @@ struct LinkScheduleResult {
 [[nodiscard]] sinr::PowerAssignment power_for_mode(const geom::LinkView& links,
                                                    const PlannerConfig& config);
 
-/// Warm-start seed for schedule_links. Links with seed_colors[i] >= 0 keep
-/// that color (the caller asserts the seed is proper on the seeded
-/// subgraph); links with -1 are colored greedily around them. The dynamic
-/// planner uses this for its full-replan fallback: coloring stays stable
-/// across the fallback while repair and verification run from scratch,
-/// re-anchoring the carried-over validity chain.
-struct WarmStart {
-  std::vector<int> seed_colors;
-};
-
 /// Colors the conflict graph, repairs, verifies: a complete TDMA schedule
 /// for an arbitrary link set under the configured power mode. kGlobal slots
 /// are verified exactly under the powers repair certified them with (the
 /// cold solve runs only for a slot those powers fail). When `timings` is
 /// non-null the conflict/coloring/repair/verify stages are clocked into
-/// it. When `warm` is non-null (and sized to the links) the coloring is
-/// seeded from it instead of computed from scratch. When `conflict_index` is
-/// non-null it must be the maintained index of the store `links` snapshots
-/// (dynamic::DynamicPlanner's), and the conflict graph is assembled from
-/// index queries instead of a from-scratch grid build — same graph, no O(n)
-/// construction.
+/// it.
 [[nodiscard]] LinkScheduleResult schedule_links(
     const geom::LinkView& links, const PlannerConfig& config,
-    StageTimings* timings = nullptr, const WarmStart* warm = nullptr,
-    const conflict::ConflictIndex* conflict_index = nullptr);
+    StageTimings* timings = nullptr);
 
 /// Full aggregation plan for a pointset.
 struct PlanResult {

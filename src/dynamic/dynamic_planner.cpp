@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "coloring/coloring.h"
 #include "conflict/fgraph.h"
 #include "mst/tree.h"
 #include "obs/metrics.h"
@@ -68,6 +69,7 @@ struct PlannerMetrics {
   obs::Histogram& power_ms = reg.histogram("dynamic.power_ms");
   obs::Histogram& dirty_per_epoch =
       reg.histogram("dynamic.dirty_links_per_epoch");
+  obs::Histogram& slot_drift = reg.histogram("dynamic.slot_drift");
 };
 
 PlannerMetrics& planner_metrics() {
@@ -82,10 +84,6 @@ void DynamicOptions::validate() const {
   if (config.tree != core::TreeKind::kMst) {
     throw std::invalid_argument(
         "DynamicOptions: only TreeKind::kMst supports incremental updates");
-  }
-  if (!(full_replan_fraction > 0.0 && full_replan_fraction <= 1.0)) {
-    throw std::invalid_argument(
-        "DynamicOptions: full_replan_fraction must lie in (0, 1]");
   }
 }
 
@@ -387,7 +385,7 @@ void DynamicPlanner::apply_structural_diff(const mst::MstDelta& delta) {
   }
 }
 
-void DynamicPlanner::reconcile_full() {
+void DynamicPlanner::reconcile_full(bool reseed_index) {
   // From-scratch orientation in id-space (BFS from the sink), reconciled
   // against the store so surviving pairs keep their stable ids: stale links
   // are dropped, mis-directed ones flipped in place, missing ones added,
@@ -446,13 +444,13 @@ void DynamicPlanner::reconcile_full() {
     }
   }
 
-  // Re-seed the conflict index from the reconciled truth. The listener kept
-  // it structurally in sync above, but a reconcile can follow a FAILED epoch
-  // whose touched-node list died with the exception frame — a node may have
-  // moved while its uplink length stayed bit-identical, in which case the
-  // set_length refresh above fires no event and the index would keep the
-  // endpoint's OLD position (wrong grid cell, wrong distance prune). This
-  // path is already O(n), so the rebuild is asymptotically free.
+  // The listener kept the conflict index structurally in sync above. After
+  // a FAILED epoch that is not enough: its touched-node list died with the
+  // exception frame, so a node may have moved while its uplink length
+  // stayed bit-identical — the set_length refresh above then fires no
+  // event and the index would keep the endpoint's OLD position (wrong grid
+  // cell, wrong distance prune). Re-seed it from the reconciled truth.
+  if (!reseed_index) return;
   conflict_index_.clear();
   for (const auto link : store_.live_ids()) {
     conflict_index_.add(link, mst_.position(store_.sender(link)),
@@ -497,7 +495,9 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     if (delta.rebuilt) metrics.rebuilds.add();
   }
   if (force_reconcile_ || delta.rebuilt) {
-    reconcile_full();
+    // Construction's listener adds already seeded the index; only the
+    // recovery after a failed epoch re-seeds it.
+    reconcile_full(/*reseed_index=*/force_reconcile_ && report.epoch > 0);
     force_reconcile_ = false;
   } else {
     apply_structural_diff(delta);
@@ -526,7 +526,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
 
   // ---- dirty detection via generation counters (no conflict graph
   // needed: the pairwise conflict relation of two geometrically unchanged
-  // links cannot change); billed to recolor on both paths ----
+  // links cannot change); billed to recolor ----
   // Fixed-power modes with ambient noise couple every power to the global
   // max link length; any change then invalidates every link.
   const bool noise_coupled = config.power_mode != core::PowerMode::kGlobal &&
@@ -537,155 +537,124 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     ledger_load_.resize(store_.capacity(), kUnknownLoad);
   }
   std::vector<bool> dirty(n, false);
-  std::size_t dirty_count = 0;
+  std::vector<std::size_t> dirty_indices;
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<std::size_t>(links.id_of(i));
     dirty[i] = noise_coupled || slot_of_[id] < 0 ||
                store_.generation(links.id_of(i)) > plan_clock_;
-    if (dirty[i]) ++dirty_count;
+    if (dirty[i]) dirty_indices.push_back(i);
   }
-  report.dirty_links = dirty_count;
+  report.dirty_links = dirty_indices.size();
   report.num_nodes = points.size();
   report.num_links = n;
-
-  const bool full =
-      prev_slot_count_.empty() ||
-      static_cast<double>(dirty_count) >
-          options_.full_replan_fraction * static_cast<double>(n);
+  // Construction, the recovery after a failed epoch and noise-coupled
+  // epochs re-plan every link: no seed, every class all-loose.
+  const bool full = dirty_indices.size() == n;
   report.full_replan = full;
 
+  // ---- conflict rows for the dirty links ----
+  // Conflict adjacency is needed only for the dirty links: the relation
+  // between two unchanged links cannot change, and clean links keep their
+  // colors. The persistent index answers those rows against its standing
+  // per-class grids — output-sensitive queries with ZERO per-epoch rebuild.
+  report.timings.recolor_ms += stage_span.next("conflict_query");
+  if (config.order == core::ColoringOrder::kDecreasingLength) {
+    dirty_indices = schedule::pack_order(links, dirty_indices);
+  } else {
+    std::sort(dirty_indices.begin(), dirty_indices.end(),
+              [&](std::size_t a, std::size_t b) {
+                if (links.length(a) != links.length(b)) {
+                  return links.length(a) < links.length(b);
+                }
+                return a < b;
+              });
+  }
+  const auto spec = core::spec_for_mode(config);
+  const auto neighbor_rows =
+      conflict_index_.neighbors(links, spec, dirty_indices);
+  report.timings.conflict_query_ms += stage_span.next("recolor");
+
+  // Seeded recolor: surviving links keep their final slot (final slots are
+  // independent sets, so the seed is proper); only dirty links are
+  // first-fit colored against their conflict rows.
+  std::vector<int> seed(n, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!dirty[i]) seed[i] = slot_of_[links.id_of(i)];
+  }
+  const auto recolored =
+      coloring::greedy_recolor_rows(dirty_indices, neighbor_rows, seed);
+  report.timings.recolor_ms += stage_span.next("repair");
+
+  // Slot carry-over + patch repair against the slot ledger. Soundness does
+  // NOT assume oracle monotonicity under member departure: a slot's verdict
+  // is carried over only when its membership is UNCHANGED; a class that
+  // shrank is re-checked — its carried bounds are still upper bounds under
+  // the same powers — before serving as a kept sub-slot or a final slot.
+  const bool carried = config.power_mode == core::PowerMode::kGlobal;
+  auto ledger = core::ledger_for_mode(links, config);
+  std::vector<std::vector<std::size_t>> classes(
+      static_cast<std::size_t>(recolored.num_colors));
+  for (std::size_t i = 0; i < n; ++i) {
+    classes[static_cast<std::size_t>(recolored.color_of[i])].push_back(i);
+  }
   schedule::Schedule final_schedule;
   std::vector<char> next_exact;  // ledger_exact_ of the final slots
+  std::vector<schedule::LedgerSlot> certificates;  // full epochs only
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    auto& members = classes[c];
+    if (members.empty()) continue;
+    std::vector<std::size_t> kept;
+    std::vector<std::size_t> loose;
+    for (const auto i : members) {
+      (dirty[i] ? loose : kept).push_back(i);
+    }
+    // Unchanged membership <=> every previous member survived clean; the
+    // old certificate then applies verbatim. A shrunk class is handled by
+    // patch_slot's uncertified-kept path: one re-check, or a repack if it
+    // is now rejected.
+    const bool kept_certified =
+        kept.empty() ||
+        (c < prev_slot_count_.size() && kept.size() == prev_slot_count_[c]);
+    const bool was_exact = c < ledger_exact_.size() && ledger_exact_[c];
+    if (loose.empty() && kept_certified) {
+      ++report.reused_slots;
+      final_schedule.slots.push_back(std::move(kept));
+      next_exact.push_back(was_exact);
+      continue;
+    }
+    // Kept clean links were all in previous slot c: their powers and bounds
+    // carry over from the id-keyed ledger (bounds only loosen as members
+    // depart, so they stay sound).
+    auto kept_slot = ledger.unknown(kept);
+    for (std::size_t a = 0; a < kept.size(); ++a) {
+      const auto id = static_cast<std::size_t>(links.id_of(kept[a]));
+      if (carried) kept_slot.log2_power[a] = ledger_power_[id];
+      kept_slot.load[a] = ledger_load_[id];
+    }
+    kept_slot.exact = was_exact && kept_certified;
+    auto patch = schedule::patch_slot(ledger, std::move(kept_slot), loose,
+                                      kept_certified);
+    report.oracle_calls += patch.oracle_calls;
+    report.certificate_hits += patch.certificates.hits;
+    report.certificate_misses += patch.certificates.misses;
+    report.touched_slots += patch.sub_slots.size();
+    for (auto& sub : patch.sub_slots) {
+      record_certificate(links, sub);
+      next_exact.push_back(sub.exact);
+      final_schedule.slots.push_back(sub.members);
+      if (full) certificates.push_back(std::move(sub));
+    }
+  }
   if (full) {
-    // ---- fallback: full replan, warm-started from the surviving slots so
-    // the coloring stays stable; repair + verification run from scratch and
-    // re-anchor the carried-over validity chain ----
-    core::StageTimings stage_timings;
-    core::WarmStart warm;
-    const core::WarmStart* warm_ptr = nullptr;
-    if (!prev_slot_count_.empty()) {
-      warm.seed_colors.assign(n, -1);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!dirty[i]) warm.seed_colors[i] = slot_of_[links.id_of(i)];
-      }
-      warm_ptr = &warm;
-    }
-    report.timings.recolor_ms += stage_span.close();
-    // schedule_links clocks its own conflict/coloring/repair/verify spans;
-    // each folds into the epoch field of the same stage.
-    auto scheduled = core::schedule_links(links, config, &stage_timings,
-                                          warm_ptr, &conflict_index_);
-    stage_span.next("repair");
-    report.timings.conflict_query_ms += stage_timings.conflict_ms;
-    report.timings.recolor_ms += stage_timings.coloring_ms;
-    report.timings.repair_ms +=
-        stage_timings.repair_ms + stage_timings.verify_ms;
-    report.touched_slots = scheduled.schedule.length();
-    report.valid = scheduled.verification.ok();
-    final_schedule = std::move(scheduled.schedule);
-    // Repair certified every slot: its powers and bounds seed the ledger.
-    for (const auto& cert : scheduled.certificates) {
-      record_certificate(links, cert);
-      next_exact.push_back(cert.exact);
-    }
+    // No slot carried a verdict over: check the whole plan from scratch,
+    // kGlobal slots under the powers that certified them in repair.
+    const auto oracle = core::oracle_for_mode(links, config);
+    report.valid = (carried ? schedule::verify_certified(
+                                  final_schedule, certificates, ledger, oracle)
+                            : schedule::verify_schedule(links, final_schedule,
+                                                        oracle))
+                       .ok();
   } else {
-    // ---- localized path ----
-    // Conflict adjacency is needed only for the dirty links: the relation
-    // between two unchanged links cannot change, and clean links keep their
-    // colors. The persistent index answers those rows against its standing
-    // per-class grids — output-sensitive queries with ZERO per-epoch
-    // rebuild (the O(n) grid construction the from-scratch subset query
-    // pays every call).
-    report.timings.recolor_ms += stage_span.next("conflict_query");
-    std::vector<std::size_t> dirty_indices;
-    dirty_indices.reserve(dirty_count);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (dirty[i]) dirty_indices.push_back(i);
-    }
-    if (config.order == core::ColoringOrder::kDecreasingLength) {
-      dirty_indices = schedule::pack_order(links, dirty_indices);
-    } else {
-      std::sort(dirty_indices.begin(), dirty_indices.end(),
-                [&](std::size_t a, std::size_t b) {
-                  if (links.length(a) != links.length(b)) {
-                    return links.length(a) < links.length(b);
-                  }
-                  return a < b;
-                });
-    }
-    const auto spec = core::spec_for_mode(config);
-    const auto neighbor_rows =
-        conflict_index_.neighbors(links, spec, dirty_indices);
-    report.timings.conflict_query_ms += stage_span.next("recolor");
-
-    // Seeded recolor: surviving links keep their final slot (final slots
-    // are independent sets, so the seed is proper); only dirty links are
-    // first-fit colored against their conflict rows.
-    std::vector<int> seed(n, -1);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!dirty[i]) seed[i] = slot_of_[links.id_of(i)];
-    }
-    const auto recolored =
-        coloring::greedy_recolor_rows(dirty_indices, neighbor_rows, seed);
-    report.timings.recolor_ms += stage_span.next("repair");
-
-    // Slot carry-over + patch repair against the slot ledger. Soundness
-    // does NOT assume oracle monotonicity under member departure: a slot's
-    // verdict is carried over only when its membership is UNCHANGED; a
-    // class that shrank is re-checked — its carried bounds are still upper
-    // bounds under the same powers — before serving as a kept sub-slot or
-    // a final slot.
-    const bool carried = config.power_mode == core::PowerMode::kGlobal;
-    auto ledger = core::ledger_for_mode(links, config);
-    std::vector<std::vector<std::size_t>> classes(
-        static_cast<std::size_t>(recolored.num_colors));
-    for (std::size_t i = 0; i < n; ++i) {
-      classes[static_cast<std::size_t>(recolored.color_of[i])].push_back(i);
-    }
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-      auto& members = classes[c];
-      if (members.empty()) continue;
-      std::vector<std::size_t> kept;
-      std::vector<std::size_t> loose;
-      for (const auto i : members) {
-        (dirty[i] ? loose : kept).push_back(i);
-      }
-      // Unchanged membership <=> every previous member survived clean; the
-      // old certificate then applies verbatim. A shrunk class is handled by
-      // patch_slot's uncertified-kept path: one re-check, or a repack if it
-      // is now rejected.
-      const bool kept_certified =
-          kept.empty() || (c < prev_slot_count_.size() &&
-                           kept.size() == prev_slot_count_[c]);
-      const bool was_exact = c < ledger_exact_.size() && ledger_exact_[c];
-      if (loose.empty() && kept_certified) {
-        ++report.reused_slots;
-        final_schedule.slots.push_back(std::move(kept));
-        next_exact.push_back(was_exact);
-        continue;
-      }
-      // Kept clean links were all in previous slot c: their powers and
-      // bounds carry over from the id-keyed ledger (bounds only loosen as
-      // members depart, so they stay sound).
-      auto kept_slot = ledger.unknown(kept);
-      for (std::size_t a = 0; a < kept.size(); ++a) {
-        const auto id = static_cast<std::size_t>(links.id_of(kept[a]));
-        if (carried) kept_slot.log2_power[a] = ledger_power_[id];
-        kept_slot.load[a] = ledger_load_[id];
-      }
-      kept_slot.exact = was_exact && kept_certified;
-      auto patch = schedule::patch_slot(ledger, std::move(kept_slot), loose,
-                                        kept_certified);
-      report.oracle_calls += patch.oracle_calls;
-      report.certificate_hits += patch.certificates.hits;
-      report.certificate_misses += patch.certificates.misses;
-      report.touched_slots += patch.sub_slots.size();
-      for (auto& sub : patch.sub_slots) {
-        record_certificate(links, sub);
-        next_exact.push_back(sub.exact);
-        final_schedule.slots.push_back(std::move(sub.members));
-      }
-    }
     report.valid = schedule::is_partition(final_schedule, n);
   }
   report.timings.repair_ms += stage_span.close();
@@ -923,6 +892,10 @@ void DynamicPlanner::publish_epoch_metrics(const EpochReport& report) {
   metrics.recolor_ms.record(t.recolor_ms);
   metrics.repair_ms.record(t.repair_ms);
   metrics.dirty_per_epoch.record(static_cast<double>(report.dirty_links));
+  if (report.audited) {
+    metrics.slot_drift.record(static_cast<double>(report.slots) /
+                              static_cast<double>(report.audit_full_slots));
+  }
 }
 
 }  // namespace wagg::dynamic

@@ -20,9 +20,6 @@ namespace wagg::dynamic {
 
 struct DynamicOptions {
   core::PlannerConfig config{};
-  /// Dirty-link fraction above which an epoch abandons the localized patch
-  /// path and falls back to a full (warm-started) replan.
-  double full_replan_fraction = 0.35;
   /// Re-plan every epoch from scratch as well, cross-checking the
   /// incremental plan's validity and recording rate/length deltas.
   bool audit = false;
@@ -33,9 +30,8 @@ struct DynamicOptions {
 /// Wall-clock breakdown of one epoch, milliseconds. One stage clock
 /// (obs::StageSpan) bills every field: each equals the exclusive self time
 /// of the span named after it (`mst_update`, `orient`, `conflict_maintain`,
-/// `conflict_query`, `recolor`, `repair`, `power`), and a full-replan epoch
-/// folds core::schedule_links' `conflict`/`coloring`/`repair`+`verify`
-/// spans into conflict_query/recolor/repair. audit_ms covers only audit
+/// `conflict_query`, `recolor`, `repair`, `power`) — every epoch, a
+/// full_replan one included, runs the same stages. audit_ms covers only audit
 /// mode's from-scratch replan and checks (`audit_full` + `audit` spans), so
 /// incremental_ms() is the honest cost of the incremental engine. power_ms
 /// covers on-demand slot-power materialization (slot_powers()), which runs
@@ -52,9 +48,11 @@ struct EpochTimings {
   double mst_update_ms = 0.0;
   double orient_ms = 0.0;
   double conflict_maintain_ms = 0.0;  ///< ConflictIndex add/remove/update
-  double conflict_query_ms = 0.0;     ///< dirty-row queries / graph assembly
+  double conflict_query_ms = 0.0;     ///< dirty-row queries
   double recolor_ms = 0.0;  ///< dirty detection + seeded recoloring
-  double repair_ms = 0.0;   ///< slot carry-over + patch repair
+  /// Slot carry-over + patch repair; a full_replan epoch's from-scratch
+  /// plan check too.
+  double repair_ms = 0.0;
   double power_ms = 0.0;    ///< on-demand per-slot power materialization
   double audit_ms = 0.0;    ///< audit-mode full replan + full verification
 
@@ -80,7 +78,10 @@ struct EpochReport {
 
   /// Links whose geometry or existence changed (the recolor set).
   std::size_t dirty_links = 0;
-  /// True when the epoch ran the full-replan fallback instead of patching.
+  /// Every link was re-planned (dirty_links == num_links): construction,
+  /// the recovery after a failed epoch, and every noise-coupled epoch
+  /// (fixed power with noise > 0). Nothing carried over, so `valid` is then
+  /// a from-scratch check of every slot.
   bool full_replan = false;
 
   std::size_t slots = 0;
@@ -108,7 +109,8 @@ struct EpochReport {
   /// every slot is certified by a decision on exactly its membership — a
   /// ledger certificate or the oracle, either this epoch or, for slots
   /// whose membership did not change, a previous one; audit mode re-checks
-  /// everything from scratch.
+  /// everything from scratch. A full_replan epoch checks every slot from
+  /// scratch (kGlobal: under the powers that certified it).
   bool valid = false;
 
   EpochTimings timings;
@@ -171,18 +173,18 @@ struct EpochReport {
 ///      the slot ledger: every final slot keeps its members' powers and
 ///      load bounds keyed by stable LinkId, so an insertion is decided in
 ///      O(|slot|) and only ledger misses run the exact oracle.
-/// When the dirty fraction exceeds DynamicOptions::full_replan_fraction the
-/// epoch falls back to core::schedule_links with a warm-start seed — full
-/// repair and verification re-anchor the carried-over validity chain. Bulk
-/// mutation batches likewise rebuild the tree wholesale and reconcile the
-/// store against it (surviving pairs keep their ids, so the warm start
-/// still applies).
+/// Every epoch runs this one loop. Construction, the recovery after a
+/// failed epoch and noise-coupled epochs are the case where every link is
+/// dirty: no seeds, every class all-loose, and the finished plan is checked
+/// from scratch. Bulk mutation batches rebuild the tree wholesale and
+/// reconcile the store against it (surviving pairs keep their ids, so their
+/// slots still seed the recolor).
 ///
 /// Not thread-safe; one session per thread (runtime::PlanService sessions
 /// wrap instances for service use).
 class DynamicPlanner : private geom::LinkStoreListener {
  public:
-  /// Plans the initial epoch (a full replan). The pointset's indices become
+  /// Plans the initial epoch (every link dirty). The pointset's indices become
   /// stable node ids 0..n-1; options.config.sink names the sink node.
   DynamicPlanner(const geom::Pointset& initial, DynamicOptions options);
 
@@ -251,8 +253,8 @@ class DynamicPlanner : private geom::LinkStoreListener {
 
   /// kGlobal only: the per-slot power vectors of the current schedule
   /// (aligned with snapshot().schedule.slots), materialized on demand. Each
-  /// slot ships the vector that certified it in repair — localized or full
-  /// — from the slot ledger (an embedding, no solve). Only a failed epoch
+  /// slot ships the vector that certified it in repair from the slot
+  /// ledger (an embedding, no solve). Only a failed epoch
   /// leaves slots uncovered; those are settled afresh through
   /// SlotLedger::settle, which re-seeds their ledger. The cost and
   /// counts land in last_report().timings.power_ms / power_slots_cached /
@@ -286,7 +288,8 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// From-scratch orientation (BFS in id-space) reconciled against the
   /// store: surviving pairs keep their ids, orientations are flipped in
   /// place, stale links dropped, missing ones added, lengths refreshed.
-  void reconcile_full();
+  /// With reseed_index the conflict index is then rebuilt from the store.
+  void reconcile_full(bool reseed_index);
   /// Marks the tree links incident to `touched` nodes geometry-dirty and
   /// refreshes their lengths.
   void refresh_touched(const std::vector<NodeId>& touched);
@@ -296,7 +299,8 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// True iff the parent chain from `node` currently reaches the sink.
   [[nodiscard]] bool reaches_sink(NodeId node) const;
   /// Drops all carried plan state (slot seeds, slot ledger) and forces the
-  /// next epoch through reconcile_full + full replan.
+  /// next epoch through reconcile_full (index re-seed included) with every
+  /// link dirty.
   void invalidate_carried_state();
   /// Stores a certified slot's powers and bounds (dense indices of
   /// `links`) in the id-keyed ledger.
@@ -308,7 +312,8 @@ class DynamicPlanner : private geom::LinkStoreListener {
                                     std::vector<double>& dense) const;
   /// Pushes the finished epoch into the global obs::Registry: report
   /// counters verbatim, engine lifetime counters as deltas against the
-  /// marks below, stage timings into per-epoch histograms.
+  /// marks below, stage timings into per-epoch histograms, and on audited
+  /// epochs the slot drift (slots over the from-scratch plan's slots).
   void publish_epoch_metrics(const EpochReport& report);
 
   DynamicOptions options_;
@@ -337,8 +342,9 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// Store clock at the end of the last successful replan; links whose
   /// generation exceeds it are dirty.
   std::uint64_t plan_clock_ = 0;
-  /// Set after construction, bulk rebuilds, or failed epochs: the next
-  /// replan must rebuild orientation from scratch.
+  /// Set for construction and after failed epochs: the next replan must
+  /// rebuild orientation from scratch (bulk rebuilds signal it through the
+  /// MST delta).
   bool force_reconcile_ = true;
 
   // ---- slot ledger (schedule::LedgerSlot state of every final slot,

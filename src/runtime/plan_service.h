@@ -68,7 +68,9 @@ struct PlanOutcome {
   // Churn-session summary (non-zero only for requests with a trace).
   std::size_t epochs = 0;        ///< epochs planned, incl. the initial plan
   std::size_t epochs_valid = 0;  ///< epochs whose plan was valid
-  std::size_t full_replans = 0;  ///< mutation epochs that hit the fallback
+  /// Mutation epochs that re-planned every link (EpochReport::full_replan:
+  /// the recovery after a failed epoch, noise-coupled fixed-power epochs).
+  std::size_t full_replans = 0;
   /// Conflict-layer split across the session: persistent-index upkeep vs
   /// dirty-row queries (their sum is timings.conflict_ms for sessions).
   double conflict_maintain_ms = 0.0;

@@ -56,15 +56,19 @@ PatchResult patch_slot(SlotLedger& ledger, LedgerSlot kept,
   // incremental ones — and certifies the merged membership outright,
   // uncertified kept included. Costs a single extra decision when it misses.
   if (ordered.size() > 1 || (!kept_certified && !ordered.empty())) {
-    LedgerSlot trial = kept;
-    // Once the trial is over bound no later insertion brings it back, so
-    // the rest join without a probe.
-    bool bounded = ledger.certifies(trial);
-    for (const std::size_t link : ordered) {
-      if (bounded) {
-        bounded = ledger.insert(trial, link);
-      } else {
-        ledger.append(trial, link);
+    // With nothing kept there are no bounds to grow: the class goes to one
+    // exact decision in its given order, as each slot of repair_schedule.
+    LedgerSlot trial = has_kept ? kept : ledger.unknown(loose);
+    if (has_kept) {
+      // Once the trial is over bound no later insertion brings it back, so
+      // the rest join without a probe.
+      bool bounded = ledger.certifies(trial);
+      for (const std::size_t link : ordered) {
+        if (bounded) {
+          bounded = ledger.insert(trial, link);
+        } else {
+          ledger.append(trial, link);
+        }
       }
     }
     ++result.oracle_calls;

@@ -69,9 +69,11 @@ struct PatchResult {
 /// certificate when the bounds suffice, the exact decision otherwise.
 ///
 /// Policy: an optimistic fast path first tries the whole class (kept +
-/// loose) in one decision. When members departed since kept was last
-/// accepted, pass kept_certified = false: kept is then re-checked once —
-/// demoted into the loose set if rejected — before any insertion trusts it.
+/// loose) in one decision; with kept empty that is one exact decision on
+/// loose in its given order, without bound probes. When members departed
+/// since kept was last accepted, pass kept_certified = false: kept is then
+/// re-checked once — demoted into the loose set if rejected — before any
+/// insertion trusts it.
 ///
 /// Preconditions: kept/loose are disjoint and duplicate-free; every
 /// singleton must be feasible (std::runtime_error otherwise).

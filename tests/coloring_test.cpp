@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "coloring/coloring.h"
 #include "coloring/refinement.h"
 #include "conflict/fgraph.h"
@@ -71,35 +75,41 @@ TEST(Greedy, EmptyGraph) {
   EXPECT_TRUE(is_proper(g, c));
 }
 
+/// The conflict rows of `targets`, as the incremental planner hands them to
+/// greedy_recolor_rows.
+std::vector<std::vector<std::int32_t>> rows_of(
+    const conflict::Graph& g, std::span<const std::size_t> targets) {
+  std::vector<std::vector<std::int32_t>> rows;
+  for (const std::size_t v : targets) {
+    const auto row = g.neighbors(v);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return rows;
+}
+
 TEST(Recolor, KeepsSeedAndStaysProper) {
   // 6-cycle: seed alternating colors on half the vertices, recolor the rest.
-  conflict::Graph cycle(6);
-  for (std::size_t v = 0; v < 6; ++v) cycle.add_edge(v, (v + 1) % 6);
-  cycle.finalize();
+  const auto ring = cycle(6);
   std::vector<int> seed = {0, -1, 0, -1, 0, -1};
-  std::vector<std::size_t> order = {0, 1, 2, 3, 4, 5};
-  const auto coloring = greedy_recolor(cycle, order, seed);
+  std::vector<std::size_t> targets = {1, 3, 5};
+  const auto coloring =
+      greedy_recolor_rows(targets, rows_of(ring, targets), seed);
   for (std::size_t v = 0; v < 6; v += 2) {
     EXPECT_EQ(coloring.color_of[v], 0) << "seed not kept at " << v;
   }
-  for (std::size_t v = 0; v < 6; ++v) {
-    for (const auto w : cycle.neighbors(v)) {
-      EXPECT_NE(coloring.color_of[v],
-                coloring.color_of[static_cast<std::size_t>(w)]);
-    }
-  }
+  EXPECT_TRUE(is_proper(ring, coloring));
 }
 
-TEST(Recolor, RejectsImproperSeedAndBadSizes) {
-  conflict::Graph edge(2);
-  edge.add_edge(0, 1);
-  edge.finalize();
-  std::vector<std::size_t> order = {0, 1};
-  std::vector<int> clash = {2, 2};
-  EXPECT_THROW((void)greedy_recolor(edge, order, clash),
+TEST(Recolor, RejectsBadSizes) {
+  const auto ring = cycle(4);
+  std::vector<std::size_t> targets = {0, 1};
+  const std::vector<int> blank(4, -1);
+  const auto one_row = rows_of(ring, std::vector<std::size_t>{0});
+  EXPECT_THROW((void)greedy_recolor_rows(targets, one_row, blank),
                std::invalid_argument);
-  std::vector<int> short_seed = {0};
-  EXPECT_THROW((void)greedy_recolor(edge, order, short_seed),
+  std::vector<std::size_t> outside = {4};
+  const std::vector<std::vector<std::int32_t>> empty_row(1);
+  EXPECT_THROW((void)greedy_recolor_rows(outside, empty_row, blank),
                std::invalid_argument);
 }
 
@@ -111,7 +121,7 @@ TEST(Recolor, EmptySeedEqualsGreedy) {
   g.finalize();
   std::vector<std::size_t> order = {4, 3, 2, 1, 0};
   const std::vector<int> blank(5, -1);
-  const auto recolored = greedy_recolor(g, order, blank);
+  const auto recolored = greedy_recolor_rows(order, rows_of(g, order), blank);
   const auto fresh = greedy_color(g, order);
   EXPECT_EQ(recolored.color_of, fresh.color_of);
   EXPECT_EQ(recolored.num_colors, fresh.num_colors);

@@ -490,7 +490,7 @@ TEST(DynamicPlanner, BadMutationMidBatchThenGoodEpochRecovers) {
 }
 
 /// The slot ledger's certificates are sound: across randomized global churn
-/// (noise 0 and > 0, with a bulk full-replan epoch and a failed epoch mixed
+/// (noise 0 and > 0, with a bulk tree-rebuild epoch and a failed epoch mixed
 /// in), every shipped power vector satisfies the exact SINR inequalities on
 /// its slot, every slot passes the cold oracle, localized epochs ship their
 /// powers without a single fresh solve, and a failed epoch drops the ledger.
@@ -530,8 +530,8 @@ TEST(DynamicPlanner, SlotLedgerCertificatesAreSound) {
                                         oracle)
                   .ok())
               << where;
-          // Construction, full replans and localized epochs alike seed
-          // the ledger from repair's certificates.
+          // Every epoch, construction included, seeds the ledger from
+          // repair's certificates.
           EXPECT_EQ(report.power_slots_computed, 0u) << where;
           EXPECT_EQ(report.certificate_hits + report.certificate_misses,
                     report.oracle_calls)
@@ -558,8 +558,10 @@ TEST(DynamicPlanner, SlotLedgerCertificatesAreSound) {
               bulk.push_back({Mutation::Kind::kMove, ids[k],
                               {pts[k].x * 0.97 + 0.05, pts[k].y * 1.01}});
             }
-            const auto bulk_report = planner.apply(bulk);
-            saw_bulk = bulk_report.full_replan;
+            auto& rebuilds = obs::Registry::global().counter("mst.rebuilds");
+            const auto rebuilds_before = rebuilds.value();
+            (void)planner.apply(bulk);
+            saw_bulk = rebuilds.value() == rebuilds_before + 1;
             check("bulk epoch");
           }
           if (e == 4) {
@@ -658,6 +660,71 @@ TEST(DynamicPlanner, FailedEpochCannotLeaveStaleCachedRows) {
       conflict::ConflictIndex::of(links).neighbors(links, spec, all);
   EXPECT_EQ(planner.conflict_index().neighbors(links, spec, all), scratch);
   EXPECT_EQ(planner.conflict_index().neighbors(links, spec, all), scratch);
+}
+
+/// Construction re-plans every link through the epoch loop, and yields
+/// exactly the from-scratch schedule (core::schedule_links) of its links in
+/// every power mode, with and without noise.
+TEST(DynamicPlanner, ConstructionEqualsTheFromScratchSchedule) {
+  const auto points = workload::make_family("uniform", 96, 6);
+  for (const auto mode :
+       {core::PowerMode::kGlobal, core::PowerMode::kUniform,
+        core::PowerMode::kLinear, core::PowerMode::kOblivious}) {
+    for (const double noise : {0.0, 1e-9}) {
+      SCOPED_TRACE(core::to_string(mode) + " noise " + std::to_string(noise));
+      DynamicOptions options;
+      options.config = workload::mode_config(mode);
+      options.config.sinr.noise = noise;
+      const DynamicPlanner planner(points, options);
+      const auto& snapshot = planner.snapshot();
+      EXPECT_TRUE(planner.last_report().full_replan);
+      EXPECT_TRUE(planner.last_report().valid);
+      EXPECT_EQ(snapshot.schedule.slots,
+                core::schedule_links(snapshot.links, options.config)
+                    .schedule.slots);
+    }
+  }
+}
+
+/// Construction seeds the conflict index once, through the store listener:
+/// one add per link, with no second re-seed pass.
+TEST(DynamicPlanner, ConstructionAddsEachLinkToTheIndexOnce) {
+  const auto points = workload::make_family("uniform", 256, 4);
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kGlobal);
+  const DynamicPlanner planner(points, options);
+  EXPECT_EQ(planner.conflict_index().stats().adds,
+            planner.last_report().num_links);
+  EXPECT_EQ(planner.conflict_index().size(), planner.last_report().num_links);
+}
+
+/// dynamic.slot_drift records slots / audit_full_slots once per audited
+/// epoch, construction included.
+TEST(DynamicPlanner, SlotDriftHistogramCountsAuditedEpochs) {
+  auto& registry = obs::Registry::global();
+  registry.reset();
+  const auto points = workload::make_family("uniform", 64, 2);
+  ChurnParams params;
+  params.epochs = 5;
+  params.rate = 0.05;
+  const auto trace = make_churn_trace(points, params, 9);
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kGlobal);
+  options.audit = true;
+  DynamicPlanner planner(points, options);
+  std::vector<EpochReport> reports{planner.last_report()};
+  for (const auto& epoch : trace) reports.push_back(planner.apply(epoch));
+
+  double drift_sum = 0.0;
+  for (const auto& r : reports) {
+    ASSERT_TRUE(r.audited);
+    drift_sum += static_cast<double>(r.slots) /
+                 static_cast<double>(r.audit_full_slots);
+  }
+  const auto snapshot = registry.snapshot();
+  const auto& h = snapshot.histograms.at("dynamic.slot_drift");
+  EXPECT_EQ(h.count(), reports.size());
+  EXPECT_NEAR(h.sum(), drift_sum, 1e-9 * drift_sum);
 }
 
 /// The construction epoch bills its seed tree to mst_update: the stage's
@@ -790,7 +857,11 @@ TEST(DynamicPlanner, LowChurnMostlyReusesAndPatchesLocally) {
   }
 }
 
-TEST(DynamicPlanner, TinyThresholdForcesFullReplanAndStaysValid) {
+/// Fixed power with noise couples every power to the global max link
+/// length, so every epoch re-plans every link through the same recolor-and-
+/// patch loop: each one is a full replan, counts its repair decisions,
+/// yields the from-scratch schedule of its links, and stays audit-clean.
+TEST(DynamicPlanner, NoiseCoupledEpochsReplanEveryLinkAndCountDecisions) {
   const auto points = workload::make_family("uniform", 64, 13);
   ChurnParams params;
   params.epochs = 5;
@@ -798,19 +869,31 @@ TEST(DynamicPlanner, TinyThresholdForcesFullReplanAndStaysValid) {
   const auto trace = make_churn_trace(points, params, 8);
 
   DynamicOptions options;
-  options.config = workload::mode_config(core::PowerMode::kGlobal);
-  options.full_replan_fraction = 1e-9;  // everything falls back
+  options.config = workload::mode_config(core::PowerMode::kUniform);
+  options.config.sinr.noise = 1e-9;
   options.audit = true;
   DynamicPlanner planner(points, options);
-  for (const auto& epoch : trace) {
-    const auto report = planner.apply(epoch);
+  for (std::size_t e = 0; e <= trace.size(); ++e) {
+    if (e > 0) (void)planner.apply(trace[e - 1]);
+    const auto& report = planner.last_report();
+    const auto& snapshot = planner.snapshot();
+    EXPECT_EQ(snapshot.schedule.slots,
+              core::schedule_links(snapshot.links, options.config)
+                  .schedule.slots)
+        << "epoch " << report.epoch;
     EXPECT_TRUE(report.full_replan) << "epoch " << report.epoch;
+    EXPECT_EQ(report.dirty_links, report.num_links) << "epoch " << report.epoch;
+    EXPECT_EQ(report.reused_slots, 0u) << "epoch " << report.epoch;
+    EXPECT_EQ(report.oracle_calls,
+              report.certificate_hits + report.certificate_misses)
+        << "epoch " << report.epoch;
+    EXPECT_GT(report.oracle_calls, 0u) << "epoch " << report.epoch;
     EXPECT_TRUE(report.valid) << "epoch " << report.epoch;
     EXPECT_TRUE(report.audit_valid) << "epoch " << report.epoch;
   }
 }
 
-TEST(DynamicPlanner, TimingLedgersAgreeAcrossFallbackAndFailedEpochs) {
+TEST(DynamicPlanner, TimingLedgersAgreeAcrossFullReplanAndFailedEpochs) {
   // One stage clock bills EpochTimings, the dynamic.*_ms histograms and the
   // spans: over a session with full-replan epochs (construction, and the
   // recovery after a failed epoch), localized epochs and slot_powers()
@@ -889,30 +972,26 @@ TEST(DynamicPlanner, TimingLedgersAgreeAcrossFallbackAndFailedEpochs) {
   expect_hist("dynamic.repair_ms", reports.size(), sum.repair_ms);
   expect_hist("dynamic.power_ms", power_calls, power_ms);
 
-  // Each field equals the exclusive time of the spans that bill it: its
-  // own stage span, plus the core::schedule_links spans a full replan
-  // folds in.
+  // Each field equals the exclusive time of the stage span named after it,
+  // on full-replan and localized epochs alike.
   const auto profile = obs::profile_spans(spans);
   EXPECT_EQ(profile.malformed_spans, 0u);
-  const auto span_ms = [&profile](std::initializer_list<const char*> names) {
+  const auto span_ms = [&profile](const char* name) {
     double total = 0.0;
     for (const auto& row : profile.rows) {
-      for (const char* name : names) {
-        if (row.name == name) total += row.exclusive_ms;
-      }
+      if (row.name == name) total += row.exclusive_ms;
     }
     return total;
   };
   const double tolerance = 1e-6;  // ns export vs double accumulation
-  EXPECT_NEAR(span_ms({"mst_update"}), sum.mst_update_ms, tolerance);
-  EXPECT_NEAR(span_ms({"orient"}), sum.orient_ms, tolerance);
-  EXPECT_NEAR(span_ms({"conflict_maintain"}), sum.conflict_maintain_ms,
+  EXPECT_NEAR(span_ms("mst_update"), sum.mst_update_ms, tolerance);
+  EXPECT_NEAR(span_ms("orient"), sum.orient_ms, tolerance);
+  EXPECT_NEAR(span_ms("conflict_maintain"), sum.conflict_maintain_ms,
               tolerance);
-  EXPECT_NEAR(span_ms({"conflict_query", "conflict"}), sum.conflict_query_ms,
-              tolerance);
-  EXPECT_NEAR(span_ms({"recolor", "coloring"}), sum.recolor_ms, tolerance);
-  EXPECT_NEAR(span_ms({"repair", "verify"}), sum.repair_ms, tolerance);
-  EXPECT_NEAR(span_ms({"power"}), power_ms, tolerance);
+  EXPECT_NEAR(span_ms("conflict_query"), sum.conflict_query_ms, tolerance);
+  EXPECT_NEAR(span_ms("recolor"), sum.recolor_ms, tolerance);
+  EXPECT_NEAR(span_ms("repair"), sum.repair_ms, tolerance);
+  EXPECT_NEAR(span_ms("power"), power_ms, tolerance);
   EXPECT_GT(sum.conflict_maintain_ms, 0.0);
 }
 
@@ -934,9 +1013,6 @@ TEST(DynamicPlanner, RejectsBadOptions) {
   DynamicOptions options;
   options.config = workload::mode_config(core::PowerMode::kGlobal);
   options.config.tree = core::TreeKind::kPairing;
-  EXPECT_THROW(DynamicPlanner(points, options), std::invalid_argument);
-  options.config.tree = core::TreeKind::kMst;
-  options.full_replan_fraction = 0.0;
   EXPECT_THROW(DynamicPlanner(points, options), std::invalid_argument);
 }
 
